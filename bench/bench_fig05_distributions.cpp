@@ -18,7 +18,6 @@
 #include <iostream>
 
 #include "core/aqs_gemm.h"
-#include "core/legacy_gemm.h"
 #include "models/accuracy_proxy.h"
 #include "models/model_workloads.h"
 #include "models/model_zoo.h"

@@ -2,8 +2,8 @@
  * @file
  * Host-kernel microbenchmark: the scalar reference AQS-GEMM versus the
  * register-blocked, skip-list-driven, multi-threaded kernel - across
- * every ISA level the host can run - plus the legacy bit-slice GEMM and
- * the dense integer GEMM for context, and the operand-preparation
+ * every ISA level the host can run - plus the dense integer GEMM for
+ * context, and the operand-preparation
  * stages serial vs parallel. These measure the simulator's own CPU
  * kernels, not modeled hardware.
  *
@@ -39,7 +39,6 @@
 
 #include "core/aqs_gemm.h"
 #include "core/kernel_cost_model.h"
-#include "core/legacy_gemm.h"
 #include "quant/gemm_quant.h"
 #include "slicing/rle.h"
 #include "slicing/slice_tensor.h"
@@ -428,15 +427,10 @@ main(int argc, char **argv)
                     "is UNMEASURED scaling, not absent scaling)\n",
                     hw, hw == 1 ? "" : "s");
 
-    // --- Context kernels --------------------------------------------
-    SlicedMatrix ws = sbrSliceMatrix(w, 1);
-    SlicedMatrix xs = sbrSliceMatrix(weightCodes(rng, dim, dim, 0.8), 1);
-    double legacy_ms = timeMs(
-        opt, [&] { legacyBitsliceGemm(ws, xs, 4, SibiaSkipSide::Auto); });
+    // --- Context kernel ---------------------------------------------
     double dense_ms = timeMs(opt, [&] { intGemm(w, x); });
-    std::printf("\ncontext (dim=%zu, pool=%d): legacy bit-slice %.2f ms, "
-                "dense int GEMM %.2f ms\n",
-                dim, pool_threads, legacy_ms, dense_ms);
+    std::printf("\ncontext (dim=%zu, pool=%d): dense int GEMM %.2f ms\n",
+                dim, pool_threads, dense_ms);
 
     // --- Preparation stages, serial vs parallel ----------------------
     // The ROADMAP flagged prep as a visible serial fraction of layer
@@ -568,8 +562,8 @@ main(int argc, char **argv)
         out << "  \"hardware_concurrency\": "
             << static_cast<int>(std::thread::hardware_concurrency())
             << ",\n";
-        out << "  \"context\": {\"legacy_bitslice_ms\": " << legacy_ms
-            << ", \"dense_int_gemm_ms\": " << dense_ms << "},\n";
+        out << "  \"context\": {\"dense_int_gemm_ms\": " << dense_ms
+            << "},\n";
         out << "  \"prep\": {\n";
         for (std::size_t i = 0; i < prep.size(); ++i) {
             const PrepStage &stage = prep[i];

@@ -13,12 +13,10 @@
  *   bench_serving --json[=out.json]    # write BENCH_serving.json
  *   bench_serving --quick              # CI smoke variant
  *   bench_serving --save=m.pncm        # also save the compiled model
- *   bench_serving --save-format=v1     # ... as a legacy v1 file (the
- *                                      # copying-decode baseline)
  *   bench_serving --load=m.pncm        # COLD START: load instead of
  *                                      # compiling (zero calibration/
  *                                      # slicing work), then bench.
- *                                      # A v2 file is mmapped and
+ *                                      # The file is mmapped and
  *                                      # consumed in place; the run
  *                                      # also times the copying
  *                                      # decode of the same file, so
@@ -85,8 +83,6 @@ struct BenchOptions
     std::size_t cols = 4;
     bool quick = false;
     std::string savePath; ///< save the compiled model after the bench
-    /** File format --save writes (v2 = mappable, v1 = legacy). */
-    std::uint32_t saveVersion = kCompiledModelFormatVersion;
     std::string loadPath; ///< cold start: load instead of compiling
     bool arrivals = false;  ///< open-loop Poisson arrivals mode
     double arrivalRate = 0; ///< req/s; 0 = auto (1.5x sequential)
@@ -253,17 +249,6 @@ main(int argc, char **argv)
             opt.quick = true;
         } else if (arg.rfind("--save=", 0) == 0) {
             opt.savePath = arg.substr(7);
-        } else if (arg.rfind("--save-format=", 0) == 0) {
-            const std::string fmt = arg.substr(14);
-            if (fmt == "v1") {
-                opt.saveVersion = kCompiledModelLegacyFormatVersion;
-            } else if (fmt == "v2") {
-                opt.saveVersion = kCompiledModelFormatVersion;
-            } else {
-                std::cerr << "bad --save-format=" << fmt
-                          << " (v1 | v2)\n";
-                return 1;
-            }
         } else if (arg.rfind("--load=", 0) == 0) {
             opt.loadPath = arg.substr(7);
         } else if (arg.rfind("--arrivals=", 0) == 0) {
@@ -310,9 +295,9 @@ main(int argc, char **argv)
     const bool cold = !opt.loadPath.empty();
     if (cold) {
         // Cold start: consume the compiled artifact - zero
-        // calibration, slicing, RLE or HO work. A v2 file is mapped
-        // read-only and its weights served in place; v1 decodes by
-        // copying. loadCompiledModelFor() verifies the file is THE
+        // calibration, slicing, RLE or HO work. The file is mapped
+        // read-only and its weights served in place.
+        // loadCompiledModelFor() verifies the file is THE
         // compiled form of exactly this (model, options).
         std::cout << "Loading compiled " << spec.name << " from "
                   << opt.loadPath << " (cold start)...\n";
@@ -545,9 +530,9 @@ main(int argc, char **argv)
 
     if (!opt.savePath.empty()) {
         try {
-            saveCompiledModel(model, opt.savePath, opt.saveVersion);
+            saveCompiledModel(model, opt.savePath);
             std::cout << "\nsaved compiled model to " << opt.savePath
-                      << " (format v" << opt.saveVersion
+                      << " (format v" << kCompiledModelFormatVersion
                       << "; reload with --load=" << opt.savePath
                       << " for a zero-preparation cold start)\n";
         } catch (const SerializeError &err) {

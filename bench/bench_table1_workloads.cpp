@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/aqs_gemm.h"
-#include "core/legacy_gemm.h"
 #include "core/workload_model.h"
 #include "slicing/slice_tensor.h"
 #include "util/random.h"

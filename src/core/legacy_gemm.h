@@ -6,9 +6,9 @@
  * exploits max(rho_w, rho_x), not both). No compensation is needed since
  * the skipped value is zero.
  *
- * This engine is both the functional reference for the Sibia baseline
- * simulator and the "previous bit-slice GEMM" series of Fig. 5(b) and
- * Fig. 14.
+ * This engine is the functional Sibia reference checked by the tests:
+ * its outputs equal the dense intGemm of the reconstructed codes, and
+ * its counted slice operations are the baseline's figures of merit.
  */
 
 #ifndef PANACEA_CORE_LEGACY_GEMM_H
@@ -53,14 +53,11 @@ struct LegacyStats
 /**
  * Execute the legacy bit-slice GEMM on SBR-sliced operands.
  *
- * Preconditions: M and N divisible by v; x.rows() == w.cols(). The
- * packed pair-pass kernel runs for v <= 16 and K < 2^25 (the int32
- * pair-accumulator exactness domain for |slice| <= 8 operands) and
- * falls back to a scalar band outside it. Parallel over the shared
- * pool and vectorized per the active ISA level (util/cpu_features.h);
- * results and statistics are bit-identical for every thread count and
- * ISA level, and always equal the dense intGemm of the reconstructed
- * codes (parity-checked in tests/test_kernel_parity.cpp).
+ * Preconditions: M and N divisible by v; x.rows() == w.cols(). A scalar
+ * loop nest with int64 accumulation, parallel over m-groups on the
+ * shared pool; results and statistics are bit-identical for every
+ * thread count, and always equal the dense intGemm of the
+ * reconstructed codes (parity-checked in tests/test_kernel_parity.cpp).
  *
  * @param w SBR-sliced symmetric weight codes (M x K)
  * @param x SBR-sliced symmetric activation codes (K x N)

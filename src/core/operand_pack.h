@@ -1,7 +1,7 @@
 /**
  * @file
- * Internal operand-preparation helpers shared by the blocked AQS-GEMM
- * and legacy bit-slice GEMM kernels: per-n-group skip lists derived
+ * Internal operand-preparation helpers of the blocked AQS-GEMM
+ * kernel: per-n-group skip lists derived
  * from an HO compression mask, and int16 widening of slice planes into
  * the contiguous [level][k][n] layout the pair-pass micro-kernels read
  * (see core/pair_pass.h).
@@ -200,9 +200,9 @@ maskBandPlanePaired(const std::int16_t *src,
  * profitable() is monotone nondecreasing in the list length under
  * every policy (see core/kernel_cost_model.h), so below the threshold
  * the copy is provably dead. Pass ho_mask_row = nullptr when weight
- * skipping is off. Both engines route their GEMM-call decision through
- * here, so the precondition and the per-pass choice can never use
- * different policies.
+ * skipping is off. The GEMM-call decision routes through here, so the
+ * precondition and the per-pass choice can never use different
+ * policies.
  */
 inline void
 packStreamWeightOperands(const SlicedMatrix &w, std::size_t mg, int v,

@@ -24,8 +24,7 @@
  *  - Arithmetic must be exact: every pacc element is the exact int32
  *    sum of exact int16 x int16 products. Integer addition commutes,
  *    so any vectorization order yields bit-identical results; callers
- *    guarantee no int32 overflow (see the kk guards in aqs_gemm.cpp /
- *    legacy_gemm.cpp).
+ *    guarantee no int32 overflow (see the kk guard in aqs_gemm.cpp).
  *
  * The AVX2/AVX-512 translation units are compiled with their ISA flags
  * only when the compiler supports them (PANACEA_HAVE_*_KERNELS);

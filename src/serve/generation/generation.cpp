@@ -137,6 +137,11 @@ GenerationScheduler::~GenerationScheduler()
     pumpCv_.notify_all();
     if (pump_.joinable())
         pump_.join();
+    // A worker can still be inside an onReady hook of a step whose
+    // result the pump already consumed; wait it out before the mutex
+    // and condvar it touches are destroyed.
+    std::unique_lock<std::mutex> lock(mutex_);
+    pumpCv_.wait(lock, [&] { return hooksInFlight_ == 0; });
 }
 
 std::future<GenerationResult>
@@ -308,13 +313,20 @@ GenerationScheduler::submitStep(Active &a, MatrixF input,
     if (phase == RequestPhase::Decode)
         ex.prepared = std::make_shared<const ActivationOperand>(
             a.model->prepareInput(input));
+    // The hook runs exactly once, on an engine worker (or inline on a
+    // rejected submit). It notifies while still holding the lock, so
+    // once the destructor sees hooksInFlight_ == 0 no worker can touch
+    // this scheduler again.
     ex.onReady = [this, id = a.id] {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ready_.push_back(id);
-        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        ready_.push_back(id);
+        --hooksInFlight_;
         pumpCv_.notify_all();
     };
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++hooksInFlight_;
+    }
     a.inflight = engine_.submit(a.model, std::move(input), std::move(ex));
 }
 

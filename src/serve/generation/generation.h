@@ -310,6 +310,8 @@ class GenerationScheduler
      *  step, or their own start), in arrival order. */
     std::deque<std::uint64_t> ready_;
     std::uint64_t nextId_ = 0;
+    /** Submitted engine steps whose onReady hook has not yet run. */
+    std::size_t hooksInFlight_ = 0;
     int draining_ = 0;
     bool stopping_ = false;
 

@@ -9,8 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <mutex>
-#include <sstream>
 #include <type_traits>
 #include <unistd.h>
 #include <utility>
@@ -54,12 +52,6 @@ class Writer
         buf_.push_back(static_cast<char>(v));
     }
     void
-    u16(std::uint16_t v)
-    {
-        for (int i = 0; i < 2; ++i)
-            buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-    void
     u32(std::uint32_t v)
     {
         for (int i = 0; i < 4; ++i)
@@ -77,11 +69,6 @@ class Writer
         u32(static_cast<std::uint32_t>(v));
     }
     void
-    i64(std::int64_t v)
-    {
-        u64(static_cast<std::uint64_t>(v));
-    }
-    void
     f64(double v)
     {
         u64(std::bit_cast<std::uint64_t>(v));
@@ -96,11 +83,6 @@ class Writer
     {
         u64(s.size());
         buf_.append(s);
-    }
-    void
-    bytes(const void *data, std::size_t size)
-    {
-        buf_.append(static_cast<const char *>(data), size);
     }
 
     const std::string &buffer() const { return buf_; }
@@ -145,16 +127,6 @@ class Reader
         need(1);
         return static_cast<std::uint8_t>(data_[pos_++]);
     }
-    std::uint16_t
-    u16()
-    {
-        need(2);
-        std::uint16_t v = 0;
-        for (int i = 0; i < 2; ++i)
-            v |= static_cast<std::uint16_t>(
-                static_cast<unsigned char>(data_[pos_++]) << (8 * i));
-        return v;
-    }
     std::uint32_t
     u32()
     {
@@ -182,11 +154,6 @@ class Reader
     {
         return static_cast<std::int32_t>(u32());
     }
-    std::int64_t
-    i64()
-    {
-        return static_cast<std::int64_t>(u64());
-    }
     double
     f64()
     {
@@ -209,14 +176,6 @@ class Reader
         std::string s(data_ + pos_, n);
         pos_ += n;
         return s;
-    }
-    void
-    bytes(void *dst, std::size_t size)
-    {
-        need(size);
-        std::copy(data_ + pos_, data_ + pos_ + size,
-                  static_cast<char *>(dst));
-        pos_ += size;
     }
 
     /** u32 validated against an inclusive enum range. */
@@ -283,28 +242,6 @@ storeU64(char *p, std::uint64_t v)
 }
 
 // --- Component writers/readers ----------------------------------------
-
-template <typename T>
-void
-writeMatrix(Writer &w, const Matrix<T> &m)
-{
-    w.u64(m.rows());
-    w.u64(m.cols());
-    w.bytes(m.data().data(), m.size() * sizeof(T));
-}
-
-template <typename T>
-Matrix<T>
-readMatrix(Reader &r)
-{
-    const std::uint64_t rows = r.u64();
-    const std::uint64_t cols = r.u64();
-    const std::size_t elems = Reader::checkedMul(rows, cols);
-    r.need(Reader::checkedMul(elems, sizeof(T)));
-    Matrix<T> m(rows, cols);
-    r.bytes(m.data().data(), elems * sizeof(T));
-    return m;
-}
 
 void
 writeLayerSpec(Writer &w, const LayerSpec &l)
@@ -505,10 +442,9 @@ readDbsDecision(Reader &r)
 }
 
 /**
- * Internal-consistency checks shared by both format readers: every
- * structure the kernels index must agree on the layer shape, or a
- * crafted (checksum-valid) file could drive out-of-bounds reads after
- * loading.
+ * Internal-consistency checks of a decoded layer: every structure the
+ * kernels index must agree on the layer shape, or a crafted
+ * (checksum-valid) file could drive out-of-bounds reads after loading.
  */
 void
 validateLayerShapes(const WeightOperand &op, const AqsPipelineOptions &opts,
@@ -544,194 +480,7 @@ validateLayerShapes(const WeightOperand &op, const AqsPipelineOptions &opts,
                 "shape");
 }
 
-// --- v1 (legacy) bulk payload encode/decode ----------------------------
-
-void
-writeSlicedMatrix(Writer &w, const SlicedMatrix &s)
-{
-    w.boolean(s.signedSlices);
-    w.i32(s.sourceBits);
-    w.i32(s.loBits);
-    w.u64(s.planes.size());
-    for (const SlicePlane &p : s.planes) {
-        w.i32(p.shift);
-        w.boolean(p.high);
-        writeMatrix(w, p.data);
-    }
-}
-
-SlicedMatrix
-readSlicedMatrix(Reader &r)
-{
-    SlicedMatrix s;
-    s.signedSlices = r.boolean();
-    s.sourceBits = r.i32();
-    s.loBits = r.i32();
-    const std::uint64_t planes = r.u64();
-    if (planes == 0)
-        throw SerializeError("compiled model slice matrix has no planes");
-    r.need(Reader::checkedMul(planes, 21)); // fixed bytes per plane
-    s.planes.reserve(planes);
-    for (std::uint64_t i = 0; i < planes; ++i) {
-        SlicePlane p;
-        p.shift = r.i32();
-        p.high = r.boolean();
-        p.data = readMatrix<Slice>(r);
-        if (!s.planes.empty() &&
-            (p.data.rows() != s.planes.front().data.rows() ||
-             p.data.cols() != s.planes.front().data.cols()))
-            throw SerializeError(
-                "compiled model slice planes disagree on shape");
-        s.planes.push_back(std::move(p));
-    }
-    return s;
-}
-
-void
-writeRleStream(Writer &w, const RleStream &s)
-{
-    w.u64(s.totalCount());
-    w.u8(static_cast<std::uint8_t>(s.fill()));
-    w.i32(s.vlen());
-    w.i32(s.indexBits());
-    w.u64(s.storedCount());
-    for (const RleEntry &e : s.entries()) {
-        w.u16(e.skip);
-        w.u32(e.vectorIndex);
-    }
-    for (std::size_t i = 0; i < s.storedCount(); ++i) {
-        std::span<const Slice> payload = s.payload(i);
-        w.bytes(payload.data(), payload.size() * sizeof(Slice));
-    }
-}
-
-RleStream
-readRleStream(Reader &r)
-{
-    const std::uint64_t total = r.u64();
-    const Slice fill = static_cast<Slice>(r.u8());
-    const std::int32_t vlen = r.i32();
-    const std::int32_t index_bits = r.i32();
-    if (vlen <= 0 || vlen > 4096)
-        throw SerializeError("compiled model RLE vlen " +
-                             std::to_string(vlen) + " out of range");
-    if (index_bits <= 0 || index_bits > 16)
-        throw SerializeError("compiled model RLE index bits " +
-                             std::to_string(index_bits) + " out of range");
-    const std::uint64_t stored = r.u64();
-    r.need(Reader::checkedMul(stored, 6)); // entry metadata floor
-    std::vector<RleEntry> entries;
-    entries.reserve(stored);
-    for (std::uint64_t i = 0; i < stored; ++i) {
-        RleEntry e;
-        e.skip = r.u16();
-        e.vectorIndex = r.u32();
-        if (e.vectorIndex >= total)
-            throw SerializeError("compiled model RLE entry index " +
-                                 std::to_string(e.vectorIndex) +
-                                 " past sequence end " +
-                                 std::to_string(total));
-        entries.push_back(e);
-    }
-    const std::size_t payload_size = Reader::checkedMul(
-        stored, static_cast<std::size_t>(vlen));
-    r.need(payload_size);
-    std::vector<Slice> payloads(payload_size);
-    r.bytes(payloads.data(), payload_size * sizeof(Slice));
-    return RleStream::restore(std::move(entries), std::move(payloads),
-                              total, fill, vlen, index_bits);
-}
-
-void
-writeWeightOperand(Writer &w, const WeightOperand &op)
-{
-    writeSlicedMatrix(w, op.sliced);
-    writeMatrix(w, op.totalCodes);
-    writeMatrix(w, op.hoMask);
-    w.u64(op.streams.size());
-    for (const RleStream &s : op.streams)
-        writeRleStream(w, s);
-}
-
-WeightOperand
-readWeightOperand(Reader &r)
-{
-    WeightOperand op;
-    op.sliced = readSlicedMatrix(r);
-    op.totalCodes = readMatrix<std::int32_t>(r);
-    op.hoMask = readMatrix<std::uint8_t>(r);
-    const std::uint64_t streams = r.u64();
-    r.need(Reader::checkedMul(streams, 24)); // stream header floor
-    op.streams.reserve(streams);
-    for (std::uint64_t i = 0; i < streams; ++i)
-        op.streams.push_back(readRleStream(r));
-    return op;
-}
-
-AqsLinearLayer
-readLayerV1(Reader &r, int expect_v)
-{
-    const AqsPipelineOptions opts = readPipelineOptions(r);
-    // build() stamps every layer with the model-level vector length;
-    // a layer disagreeing with it would make the per-layer counting
-    // caches (built with the MODEL v) index past the layer's hoMask.
-    if (opts.gemm.v != expect_v)
-        throw SerializeError("compiled model layer v " +
-                             std::to_string(opts.gemm.v) +
-                             " != model v " +
-                             std::to_string(expect_v));
-    const QuantParams w_params = readQuantParams(r);
-    const QuantParams x_params = readQuantParams(r);
-    const DbsDecision dbs = readDbsDecision(r);
-    WeightOperand op = readWeightOperand(r);
-    const std::uint64_t bias_len = r.u64();
-    r.need(Reader::checkedMul(bias_len, 8));
-    std::vector<std::int64_t> bias(bias_len);
-    for (std::uint64_t i = 0; i < bias_len; ++i)
-        bias[i] = r.i64();
-    validateLayerShapes(op, opts, bias_len);
-    return AqsLinearLayer::restore(opts, w_params, x_params, dbs,
-                                   std::move(op), std::move(bias));
-}
-
-/** The v1 payload: one scalar stream, everything copied. */
-void
-writeServedModelV1(std::ostream &out, const ServedModel &model)
-{
-    Writer payload;
-    payload.str(model.key());
-    writeModelSpec(payload, model.spec());
-    writeServeOptions(payload, model.options());
-    payload.f64(model.buildMs());
-    payload.u64(model.layerCount());
-    for (std::size_t i = 0; i < model.layerCount(); ++i) {
-        const AqsLinearLayer &layer = model.layer(i);
-        writePipelineOptions(payload, layer.options());
-        writeQuantParams(payload, layer.weightParams());
-        writeQuantParams(payload, layer.activationParams());
-        writeDbsDecision(payload, layer.dbsDecision());
-        writeWeightOperand(payload, layer.weights());
-        payload.u64(layer.foldedBias().size());
-        for (std::int64_t b : layer.foldedBias())
-            payload.i64(b);
-    }
-
-    const std::string &body = payload.buffer();
-    Writer header;
-    header.bytes(kMagic, sizeof(kMagic));
-    header.u32(kCompiledModelLegacyFormatVersion);
-    out.write(header.buffer().data(),
-              static_cast<std::streamsize>(header.buffer().size()));
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    Writer trailer;
-    trailer.u64(fnv1a64(body.data(), body.size()));
-    out.write(trailer.buffer().data(),
-              static_cast<std::streamsize>(trailer.buffer().size()));
-    if (!out)
-        throw SerializeError("compiled model write failed");
-}
-
-/** Shared model-level decode head: key/spec/options + fingerprint. */
+/** Model-level decode head: key/spec/options + fingerprint. */
 struct ModelHead
 {
     std::string key;
@@ -770,37 +519,6 @@ readModelHead(Reader &r)
                              " != served count " +
                              std::to_string(expect_layers));
     return head;
-}
-
-/** Decode a whole v1 file image (envelope + payload + trailer). */
-std::shared_ptr<const ServedModel>
-decodeV1(const std::byte *data, std::size_t size)
-{
-    constexpr std::size_t kEnvelope = sizeof(kMagic) + 4 + 8;
-    if (size < kEnvelope)
-        throw SerializeError("compiled model too small (" +
-                             std::to_string(size) + " bytes)");
-    const char *body =
-        reinterpret_cast<const char *>(data) + sizeof(kMagic) + 4;
-    const std::size_t body_size = size - kEnvelope;
-    Reader check(reinterpret_cast<const char *>(data) + size - 8, 8);
-    const std::uint64_t stored_sum = check.u64();
-    if (stored_sum != fnv1a64(body, body_size))
-        throw SerializeError("compiled model checksum mismatch");
-
-    Reader r(body, body_size);
-    const ModelHead head = readModelHead(r);
-    std::vector<AqsLinearLayer> layers;
-    layers.reserve(head.layerCount);
-    for (std::uint64_t i = 0; i < head.layerCount; ++i)
-        layers.push_back(readLayerV1(r, head.opts.v));
-    if (!r.exhausted())
-        throw SerializeError("compiled model has " +
-                             std::to_string(r.remaining()) +
-                             " trailing payload bytes");
-
-    return std::make_shared<const ServedModel>(ServedModel::restore(
-        head.spec, head.opts, std::move(layers), head.buildMs));
 }
 
 // --- v2 (sectioned, zero-copy) encode/decode ---------------------------
@@ -1283,20 +1001,9 @@ mmapEnabledByEnv()
     return e == nullptr || std::string(e) != "0";
 }
 
-void
-logLegacyLoadOnce()
-{
-    static std::once_flag once;
-    std::call_once(once, [] {
-        inform("loading legacy v1 compiled model via the copying "
-               "decode path; re-save to v2 for zero-copy mmap loads");
-    });
-}
-
 /**
- * Dispatch a whole in-memory/mapped file image on its envelope.
- * `owner`/`mapped_bytes` describe `data`'s backing and only reach the
- * v2 decoder (v1 copies everything out of the image).
+ * Check a whole in-memory/mapped file image's envelope, then decode it
+ * in place. `owner`/`mapped_bytes` describe `data`'s backing.
  */
 std::shared_ptr<const ServedModel>
 decodeFileImage(const std::byte *data, std::size_t size,
@@ -1309,33 +1016,20 @@ decodeFileImage(const std::byte *data, std::size_t size,
     if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0)
         throw SerializeError("compiled model magic mismatch");
     const std::uint32_t version = loadU32(data + sizeof(kMagic));
-    if (version == kCompiledModelFormatVersion)
-        return decodeV2(data, size, std::move(owner), mapped_bytes);
-    if (version == kCompiledModelLegacyFormatVersion) {
-        logLegacyLoadOnce();
-        return decodeV1(data, size);
-    }
-    throw SerializeError(
-        "compiled model format version " + std::to_string(version) +
-        " unsupported (readable: " +
-        std::to_string(kCompiledModelLegacyFormatVersion) + ", " +
-        std::to_string(kCompiledModelFormatVersion) + ")");
+    if (!isSupportedCompiledModelVersion(version))
+        throw SerializeError(
+            "compiled model format version " + std::to_string(version) +
+            " unsupported (readable: " +
+            std::to_string(kCompiledModelFormatVersion) + ")");
+    return decodeV2(data, size, std::move(owner), mapped_bytes);
 }
 
 } // namespace
 
 void
-writeServedModel(std::ostream &out, const ServedModel &model,
-                 std::uint32_t version)
+writeServedModel(std::ostream &out, const ServedModel &model)
 {
-    if (version == kCompiledModelFormatVersion)
-        writeServedModelV2(out, model);
-    else if (version == kCompiledModelLegacyFormatVersion)
-        writeServedModelV1(out, model);
-    else
-        throw SerializeError("cannot write compiled model format "
-                             "version " +
-                             std::to_string(version));
+    writeServedModelV2(out, model);
 }
 
 std::shared_ptr<const ServedModel>
@@ -1359,30 +1053,22 @@ readServedModel(std::istream &in)
     if (in.bad())
         throw SerializeError("compiled model read failed");
 
-    // A v2 image must sit at 64-byte alignment for its in-place views;
+    // The image must sit at 64-byte alignment for its in-place views;
     // a std::string buffer guarantees no such thing, so rehome the
-    // bytes into an arena image the model then owns. (v1 decodes
-    // byte-wise from anywhere and copies everything immediately.)
-    if (file.size() >= sizeof(kMagic) + 4 &&
-        loadU32(reinterpret_cast<const std::byte *>(file.data()) +
-                sizeof(kMagic)) == kCompiledModelFormatVersion) {
-        auto img = makeArenaImage(file.size());
+    // bytes into an arena image the model then owns.
+    auto img = makeArenaImage(file.size());
+    if (!file.empty())
         std::memcpy(img->data, file.data(), file.size());
-        // Pull the fields out BEFORE std::move(img): argument
-        // evaluation order is unspecified, so img->size in the same
-        // call could read a moved-from (null) pointer.
-        const std::byte *base = img->data;
-        const std::size_t size = img->size;
-        return decodeFileImage(base, size, std::move(img), 0);
-    }
-    return decodeFileImage(
-        reinterpret_cast<const std::byte *>(file.data()), file.size(),
-        nullptr, 0);
+    // Pull the fields out BEFORE std::move(img): argument evaluation
+    // order is unspecified, so img->size in the same call could read a
+    // moved-from (null) pointer.
+    const std::byte *base = img->data;
+    const std::size_t size = img->size;
+    return decodeFileImage(base, size, std::move(img), 0);
 }
 
 void
-saveServedModel(const ServedModel &model, const std::string &path,
-                std::uint32_t version)
+saveServedModel(const ServedModel &model, const std::string &path)
 {
     // Per-process temp name: two processes sharing a cache directory
     // can write the same key concurrently; each must stage its own
@@ -1393,7 +1079,7 @@ saveServedModel(const ServedModel &model, const std::string &path,
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             throw SerializeError("cannot open " + tmp + " for writing");
-        writeServedModel(out, model, version);
+        writeServedModel(out, model);
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
@@ -1544,9 +1230,6 @@ sweepCompiledModelDir(const std::string &dir, std::uint64_t max_bytes)
         bool stale = false;
         bool corrupt = false;
         try {
-            // Both readable versions are valid cache entries: a sweep
-            // by a v2-writing build must NOT evict legacy v1 files the
-            // loader still serves (via its copying fallback).
             stale = !isSupportedCompiledModelVersion(
                 peekCompiledModelVersion(e.path.string()));
         } catch (const SerializeError &) {

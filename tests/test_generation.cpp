@@ -11,7 +11,8 @@
  * may not delay a running decode stream by more than one chunk;
  * SubmitExtras::prepared operands are bit-exact and onReady fires
  * exactly once on every path; drain() delivers exactly one terminal
- * per generation and rejects concurrent generate() calls.
+ * per generation and rejects concurrent generate() calls; a Session
+ * destroyed the moment a generation resolves tears down safely.
  */
 
 #include <gtest/gtest.h>
@@ -702,6 +703,51 @@ TEST(Generation, PreparedOperandSubmitIsBitExactAndOnReadyFiresOnce)
     EXPECT_THROW(frej.get(), std::invalid_argument);
     await_fired(fired_rej);
     EXPECT_EQ(fired_rej.load(), 1);
+}
+
+/**
+ * Teardown right after a generation resolves: the last step's onReady
+ * hook may still be running on an engine worker when generate()'s
+ * future is ready, so ~GenerationScheduler must wait it out. Three
+ * generations share each Session so the pump is often busy when a
+ * hook lands (it then consumes the event without waiting on the
+ * condvar, which opens the window). Looped because the race shows only
+ * on some schedules; a sanitizer build turns a lost race into a report.
+ */
+TEST(Generation, SessionTeardownRightAfterGenerateResolvesIsSafe)
+{
+    Runtime rt;
+    const CompiledModel model = rt.compile(tinySpec());
+    const std::size_t v = static_cast<std::size_t>(model.options().v);
+
+    GenerationRequest req;
+    req.prompt = makePrompt(model.inputFeatures(), 2 * v, 0x7ea2);
+    req.maxSteps = 2;
+    req.samplerSeed = 0x5eed;
+    MatrixF first;
+    for (int workers : {1, 4}) {
+        SessionOptions opts;
+        opts.workers = workers;
+        opts.batchDeadlineMs = 0.0;
+        for (int i = 0; i < 200; ++i) {
+            std::vector<GenerationResult> results;
+            {
+                Session session = rt.createSession(opts);
+                std::vector<std::future<GenerationResult>> futs;
+                for (int g = 0; g < 3; ++g)
+                    futs.push_back(session.generate(model, req));
+                for (auto &f : futs)
+                    results.push_back(f.get());
+            } // destroyed the moment the last future resolved
+            for (const GenerationResult &res : results) {
+                ASSERT_EQ(res.steps, 2u) << "workers=" << workers;
+                if (first.empty())
+                    first = res.output;
+                ASSERT_TRUE(res.output == first)
+                    << "workers=" << workers << " iteration=" << i;
+            }
+        }
+    }
 }
 
 /**

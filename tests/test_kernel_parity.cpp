@@ -265,8 +265,8 @@ TEST(KernelParity, VnniKernelsMatchReferenceBitForBit)
 {
     // Explicit VNNI axis: vpdpwssd wraps mod 2^32 exactly like the
     // madd+add pair it fuses, so the VNNI tier must be bit-identical -
-    // accumulator AND stats - on both engines, across the stream
-    // (pass4 + streamGeneric) and gather paths. Skip, not fail, when
+    // accumulator AND stats - across the stream (pass4 +
+    // streamGeneric) and gather paths. Skip, not fail, when
     // the host or toolchain lacks AVX512-VNNI.
     if (supportedIsaCap() < IsaLevel::Avx512Vnni)
         GTEST_SKIP() << "host/toolchain cap is "
@@ -304,18 +304,13 @@ TEST(KernelParity, VnniKernelsMatchReferenceBitForBit)
         }
     }
 
-    // Legacy engine over the same VNNI row.
+    // Legacy engine (ISA-independent) on the same host.
     MatrixI32 lw = randomWeightCodes(rng, m, kk, 1, 0.7);
     MatrixI32 lx = randomWeightCodes(rng, kk, n, 1, 0.7);
     SlicedMatrix ws = sbrSliceMatrix(lw, 1);
     SlicedMatrix xs = sbrSliceMatrix(lx, 1);
-    MatrixI64 dense = intGemm(lw, lx);
-    for (int threads : {1, 4}) {
-        setParallelThreads(threads);
-        EXPECT_TRUE(legacyBitsliceGemm(ws, xs, 4, SibiaSkipSide::Auto) ==
-                    dense)
-            << "legacy vnni mismatch at threads=" << threads;
-    }
+    EXPECT_TRUE(legacyBitsliceGemm(ws, xs, 4, SibiaSkipSide::Auto) ==
+                intGemm(lw, lx));
 }
 
 TEST(KernelParity, OversizedVectorLengthFallsBackCorrectly)
@@ -324,8 +319,8 @@ TEST(KernelParity, OversizedVectorLengthFallsBackCorrectly)
     setParallelThreads(4);
     Rng rng(808);
     // v = 20 exceeds the blocked micro-tile bound: aqsGemm must fall
-    // back to the scalar reference and legacyBitsliceGemm to its
-    // scalar band, not abort.
+    // back to the scalar reference, not abort; legacyBitsliceGemm has
+    // no such bound.
     const std::size_t m = 40, kk = 8, n = 20;
     AqsConfig cfg;
     cfg.v = 20;
@@ -464,32 +459,24 @@ TEST(KernelParity, LegacyGemmDeterministicAcrossThreads)
     MatrixI64 ref = legacyBitsliceGemm(ws, xs, 4, SibiaSkipSide::Auto,
                                        &base);
     EXPECT_TRUE(ref == dense);
-    IsaGuard isa_guard;
-    for (IsaLevel isa : runnableIsaLevels()) {
-        setIsaLevel(isa);
-        for (int threads : {2, 4, 8}) {
-            setParallelThreads(threads);
-            LegacyStats st;
-            MatrixI64 got = legacyBitsliceGemm(ws, xs, 4,
-                                               SibiaSkipSide::Auto, &st);
-            EXPECT_TRUE(got == ref) << "isa=" << toString(isa);
-            EXPECT_EQ(st.executedOuterProducts,
-                      base.executedOuterProducts);
-            EXPECT_EQ(st.skippedOuterProducts,
-                      base.skippedOuterProducts);
-            EXPECT_EQ(st.mults, base.mults);
-            EXPECT_DOUBLE_EQ(st.rhoW, base.rhoW);
-            EXPECT_DOUBLE_EQ(st.rhoX, base.rhoX);
-        }
+    for (int threads : {2, 4, 8}) {
+        setParallelThreads(threads);
+        LegacyStats st;
+        MatrixI64 got = legacyBitsliceGemm(ws, xs, 4,
+                                           SibiaSkipSide::Auto, &st);
+        EXPECT_TRUE(got == ref) << "threads=" << threads;
+        EXPECT_EQ(st.executedOuterProducts, base.executedOuterProducts);
+        EXPECT_EQ(st.skippedOuterProducts, base.skippedOuterProducts);
+        EXPECT_EQ(st.mults, base.mults);
+        EXPECT_DOUBLE_EQ(st.rhoW, base.rhoW);
+        EXPECT_DOUBLE_EQ(st.rhoX, base.rhoX);
     }
 }
 
-TEST(KernelParity, LegacyGemmBothSkipSidesMatchDenseAcrossIsaLevels)
+TEST(KernelParity, LegacyGemmBothSkipSidesMatchDense)
 {
-    // Weight-side and activation-side skipping drive different masked
-    // stream operands in the legacy kernel; both must stay exact.
-    PoolGuard guard;
-    IsaGuard isa_guard;
+    // Weight-side and activation-side skipping consult different HO
+    // masks in the legacy kernel; both must stay exact.
     Rng rng(1102);
     const std::size_t m = 16, kk = 24, n = 16;
     MatrixI32 w_codes = randomWeightCodes(rng, m, kk, 1, 0.7);
@@ -500,13 +487,8 @@ TEST(KernelParity, LegacyGemmBothSkipSidesMatchDenseAcrossIsaLevels)
 
     for (SibiaSkipSide side :
          {SibiaSkipSide::Weight, SibiaSkipSide::Activation}) {
-        for (IsaLevel isa : runnableIsaLevels()) {
-            setIsaLevel(isa);
-            MatrixI64 got = legacyBitsliceGemm(ws, xs, 4, side);
-            EXPECT_TRUE(got == dense)
-                << "side=" << static_cast<int>(side)
-                << " isa=" << toString(isa);
-        }
+        MatrixI64 got = legacyBitsliceGemm(ws, xs, 4, side);
+        EXPECT_TRUE(got == dense) << "side=" << static_cast<int>(side);
     }
 }
 

@@ -6,8 +6,8 @@
  *  - round trip: save -> load -> save reproduces IDENTICAL bytes, and
  *    the loaded model produces byte-identical outputs and AqsStats to
  *    the freshly built one at every runnable ISA level;
- *  - rejection: wrong magic, unknown format version, checksum
- *    mismatch, truncation at any boundary, trailing bytes and
+ *  - rejection: wrong magic, unknown (or retired v1) format version,
+ *    checksum mismatch, truncation at any boundary, trailing bytes and
  *    fingerprint mismatches all throw SerializeError - a load never
  *    returns a half-built model;
  *  - disk tier: a cold PreparedModelCache pointed at a directory a
@@ -28,6 +28,7 @@
 
 #include "isa_guard.h"
 #include "panacea/compiled_model.h"
+#include "panacea/runtime.h"
 #include "panacea/serialize.h"
 #include "serve/model_serialize.h"
 #include "serve/operand_cache.h"
@@ -424,83 +425,67 @@ TEST(ModelSerialize, MappedAndCopyingLoadsAreBitExactAcrossIsa)
     }
 }
 
-TEST(ModelSerialize, LegacyV1WritesLoadThroughCopyingFallback)
-{
-    TempDir dir;
-    const ModelSpec spec = tinySpec();
-    CompileOptions opts;
-    const CompiledModel fresh = compileModel(spec, opts);
-
-    const std::string v1_path = dir.file("legacy.pncm");
-    saveCompiledModel(fresh, v1_path, kCompiledModelLegacyFormatVersion);
-    const std::string v2_path = dir.file("current.pncm");
-    saveCompiledModel(fresh, v2_path);
-    EXPECT_EQ(peekCompiledModelVersion(v1_path),
-              kCompiledModelLegacyFormatVersion);
-    EXPECT_EQ(peekCompiledModelVersion(v2_path),
-              kCompiledModelFormatVersion);
-
-    // A v1 file can never be served from a mapping: the loader falls
-    // back to the copying decode even with mmap allowed, and the
-    // result is bit-identical to the v2 load and the fresh build.
-    const CompiledModel v1 = loadCompiledModel(v1_path, true);
-    EXPECT_EQ(v1.mappedBytes(), 0u);
-    EXPECT_EQ(v1.key(), fresh.key());
-    const CompiledModel v2 = loadCompiledModel(v2_path, true);
-    const auto ref = runOnce(*fresh.shared());
-    EXPECT_TRUE(runOnce(*v1.shared()).output == ref.output);
-    EXPECT_TRUE(runOnce(*v2.shared()).output == ref.output);
-
-    // v1 save -> load -> save reproduces identical bytes too.
-    const std::string v1_again = dir.file("legacy_again.pncm");
-    saveCompiledModel(v1, v1_again, kCompiledModelLegacyFormatVersion);
-    EXPECT_EQ(readFile(v1_path), readFile(v1_again));
-
-    // And the v1 rejection paths still hold behind the fallback.
-    std::string bad = readFile(v1_path);
-    bad[bad.size() / 2] ^= 0x20;
-    const std::string bad_path = dir.file("legacy_bad.pncm");
-    writeFile(bad_path, bad);
-    EXPECT_THROW(loadCompiledModel(bad_path), SerializeError);
-    writeFile(bad_path, readFile(v1_path).substr(0, bad.size() / 2));
-    EXPECT_THROW(loadCompiledModel(bad_path), SerializeError);
-}
-
-TEST(ModelSerialize, SweepKeepsEveryReadableVersion)
+TEST(ModelSerialize, RetiredV1FilesAreRejectedSweptAndRebuilt)
 {
     TempDir dir;
     const ModelSpec spec = tinySpec();
     CompileOptions opts;
     opts.maxLayers = 1;
-    const CompiledModel model = compileModel(spec, opts);
+    const CompiledModel fresh = compileModel(spec, opts);
 
-    // Two valid artifacts (one per readable version), one from the
-    // future, one corrupt, one unrelated file.
-    saveCompiledModel(model, dir.file("v2.pncm"));
-    saveCompiledModel(model, dir.file("v1.pncm"),
-                      kCompiledModelLegacyFormatVersion);
+    // A hand-made v1 envelope: magic, u32 version 1, then payload
+    // bytes. Only the envelope matters; no v1 decoder exists.
+    std::string v1("PNCM");
+    const std::uint32_t one = 1;
+    v1.append(reinterpret_cast<const char *>(&one), sizeof(one));
+    v1.append(64, '\x5a');
+
+    // Both load paths fail the envelope check with a typed error.
+    const std::string v1_path = dir.file("v1.pncm");
+    writeFile(v1_path, v1);
+    EXPECT_EQ(peekCompiledModelVersion(v1_path), 1u);
+    EXPECT_THROW(loadCompiledModel(v1_path, true), SerializeError);
+    EXPECT_THROW(loadCompiledModel(v1_path, false), SerializeError);
+
+    // The sweep counts v1 (and a future version) as stale, a bad
+    // envelope as corrupt, keeps the v2 file and ignores non-.pncm
+    // files.
+    saveCompiledModel(fresh, dir.file("v2.pncm"));
     std::string future = readFile(dir.file("v2.pncm"));
     future[4] = static_cast<char>(future[4] + 55);
     writeFile(dir.file("future.pncm"), future);
     writeFile(dir.file("garbage.pncm"), "not a compiled model");
     writeFile(dir.file("notes.txt"), "ignored: wrong extension");
-
     const serve::CacheDirReport report =
         serve::sweepCompiledModelDir(dir.path.string());
     EXPECT_EQ(report.scanned, 4u);
-    EXPECT_EQ(report.staleVersion, 1u);
+    EXPECT_EQ(report.staleVersion, 2u);
     EXPECT_EQ(report.corrupt, 1u);
     EXPECT_EQ(report.evicted, 0u);
-
-    // The sweep keeps BOTH readable versions - v1 is legacy, not
-    // stale - and ignores non-.pncm files.
-    EXPECT_TRUE(std::filesystem::exists(dir.file("v2.pncm")));
-    EXPECT_TRUE(std::filesystem::exists(dir.file("v1.pncm")));
+    EXPECT_FALSE(std::filesystem::exists(v1_path));
     EXPECT_FALSE(std::filesystem::exists(dir.file("future.pncm")));
     EXPECT_FALSE(std::filesystem::exists(dir.file("garbage.pncm")));
+    EXPECT_TRUE(std::filesystem::exists(dir.file("v2.pncm")));
     EXPECT_TRUE(std::filesystem::exists(dir.file("notes.txt")));
     EXPECT_NO_THROW(loadCompiledModel(dir.file("v2.pncm")));
-    EXPECT_NO_THROW(loadCompiledModel(dir.file("v1.pncm")));
+
+    // A Runtime whose disk tier holds a v1 file under the model's key
+    // treats it as a miss: it rebuilds, writes a v2 file back, and
+    // serves outputs equal to a fresh build.
+    TempDir cache;
+    const std::string keyed =
+        cache.file(serve::compiledModelFileName(fresh.key()));
+    writeFile(keyed, v1);
+    RuntimeOptions ropts;
+    ropts.cacheDir = cache.path.string();
+    Runtime rt(ropts);
+    const CompiledModel rebuilt = rt.compile(spec, opts);
+    EXPECT_EQ(rt.cacheStats().misses, 1u);
+    EXPECT_EQ(rt.cacheStats().diskHits, 0u);
+    EXPECT_EQ(peekCompiledModelVersion(keyed),
+              kCompiledModelFormatVersion);
+    EXPECT_TRUE(runOnce(*rebuilt.shared()).output ==
+                runOnce(*fresh.shared()).output);
 }
 
 } // namespace

@@ -396,9 +396,8 @@ TEST(GenericVStream, BlockedMatchesReferenceAcrossIsaLevels)
     }
 }
 
-TEST(GenericVStream, LegacyGemmAgreesAcrossIsaLevels)
+TEST(GenericVStream, LegacyGemmGenericVMatchesDense)
 {
-    PoolGuard pool_guard;
     Rng rng(817);
     const int v = 8;
     const std::size_t m = 32, kk = 24, n = 16;
@@ -407,21 +406,13 @@ TEST(GenericVStream, LegacyGemmAgreesAcrossIsaLevels)
     SlicedMatrix w = sbrSliceMatrix(w_codes, 1);
     SlicedMatrix x = activationSliceMatrix(x_codes, 1);
 
-    IsaGuard isa_guard;
-    setIsaLevel(IsaLevel::Scalar);
-    LegacyStats ref_stats;
-    MatrixI64 ref = legacyBitsliceGemm(w, x, v, SibiaSkipSide::Auto,
-                                       &ref_stats);
-    for (IsaLevel isa : runnableIsaLevels()) {
-        setIsaLevel(isa);
-        LegacyStats got_stats;
-        MatrixI64 got = legacyBitsliceGemm(w, x, v, SibiaSkipSide::Auto,
-                                           &got_stats);
-        EXPECT_TRUE(got == ref) << "isa=" << toString(isa);
-        EXPECT_EQ(got_stats.executedOuterProducts,
-                  ref_stats.executedOuterProducts);
-        EXPECT_EQ(got_stats.mults, ref_stats.mults);
-    }
+    LegacyStats stats;
+    MatrixI64 got = legacyBitsliceGemm(w, x, v, SibiaSkipSide::Auto,
+                                       &stats);
+    EXPECT_TRUE(got == intGemm(w_codes, x_codes));
+    EXPECT_EQ(stats.executedOuterProducts + stats.skippedOuterProducts,
+              stats.denseOuterProducts);
+    EXPECT_EQ(stats.mults, stats.executedOuterProducts * v * v);
 }
 
 } // namespace

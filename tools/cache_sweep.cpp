@@ -7,8 +7,8 @@
  * format versions and corrupt envelopes - and, with --max-mb, enforces
  * a size cap by least-recently-used pruning (disk hits refresh a
  * file's timestamp, so idle entries go first; the newest entry always
- * survives). Entries of any READABLE format version are left intact -
- * legacy v1 files still load (via the copying path) and stay.
+ * survives). Entries of the readable format version (v2) are left
+ * intact; retired v1 files count as stale.
  *
  * Usage:
  *   panacea_cache_sweep <dir> [--max-mb=N] [--dry-run]
