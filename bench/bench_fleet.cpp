@@ -13,7 +13,7 @@
  *   bench_fleet --quick                # CI smoke variant
  *
  * Method:
- *   1. Compile the model, save it as a .pncm v2 artifact, and serve
+ *   1. Compile the model, save it as a .pncm artifact, and serve
  *      the MMAPPED load of that file - the deployment path, where all
  *      replicas share one physical copy of the weights.
  *   2. Solo-run a fixed input pool (window 1) for the bit-exactness
@@ -393,7 +393,7 @@ main(int argc, char **argv)
     std::cout << "Preparing " << spec.name << " ("
               << (mopts.maxLayers ? mopts.maxLayers
                                   : spec.layers.size())
-              << " layers) x2 versions, via .pncm v2 artifacts...\n";
+              << " layers) x2 versions, via .pncm artifacts...\n";
     // Deploy the way production does: compile once, save the .pncm v2
     // artifact, serve the MMAPPED load (replicas share the pages).
     const std::string old_path = dir.file("v1.pncm");

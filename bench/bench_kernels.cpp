@@ -19,7 +19,9 @@
  * reference case, the thread-scaling curve of the new kernel, the
  * serial-vs-parallel preparation-stage speedups, and a parity flag
  * asserting every kernel agreed with the reference bit-for-bit during
- * the run. With --density-sweep it additionally records GMAC/s of the
+ * the run, and decode-shaped (N = 16 vs 256) timings whose ps/MAC
+ * ratio exposes any per-call cost that does not scale with N. With
+ * --density-sweep it additionally records GMAC/s of the
  * static vs measured stream/gather dispatch policy
  * (core/kernel_cost_model.h) across activation densities - the CI gate
  * asserts the measured policy never loses more than noise to the
@@ -138,6 +140,20 @@ struct ThreadPoint
     int poolThreads = 0; ///< width the pool actually ran with
     double ms = 0.0;
     double speedupVs1 = 0.0;
+};
+
+/** One decode-shaped (narrow-N) timing point. */
+struct DecodePoint
+{
+    std::size_t n = 0;
+    double ms = 0.0;
+    bool parity = false;
+
+    double
+    psPerMac(std::size_t m, std::size_t k) const
+    {
+        return ms * 1e9 / (static_cast<double>(m) * k * n);
+    }
 };
 
 struct DensityPoint
@@ -287,6 +303,52 @@ main(int argc, char **argv)
         resetIsaLevel();
     }
 
+    // --- Decode shapes: per-call fixed cost at narrow N --------------
+    // Decode-shaped calls are a few column groups wide, so any work
+    // that does not scale with N (weight-side setup) dominates them.
+    // Two single-thread points at M = K = 1024 fit ms(N) = fixed +
+    // slope * N; the same-run ps/MAC ratio of the narrow to the wide
+    // point is host-independent enough for CI to gate on.
+    const std::size_t dec_dim = 1024;
+    std::vector<DecodePoint> decode_points;
+    double decode_fixed_ms = 0.0;
+    double decode_ratio = 0.0;
+    {
+        setParallelThreads(1);
+        Rng rng(11);
+        const std::int32_t zp = 136;
+        MatrixI32 w = weightCodes(rng, dec_dim, dec_dim, 0.6);
+        AqsConfig cfg;
+        WeightOperand w_op = prepareWeights(w, 1, cfg);
+        std::cout << "\ndecode shapes, single thread (m=k=" << dec_dim
+                  << ", 60% clustered)\n";
+        std::cout << "     n       ms    ps/MAC  parity\n";
+        for (std::size_t n : {std::size_t{16}, std::size_t{256}}) {
+            MatrixI32 x = actCodes(rng, dec_dim, n, zp, 0.6);
+            ActivationOperand x_op = prepareActivations(x, 1, zp, cfg);
+            DecodePoint p;
+            p.n = n;
+            p.parity =
+                aqsGemm(w_op, x_op, cfg) == aqsGemmReference(w_op, x_op, cfg);
+            p.ms = timeMs(opt, [&] { aqsGemm(w_op, x_op, cfg); });
+            decode_points.push_back(p);
+            std::printf("  %4zu  %7.3f  %8.1f  %s\n", n, p.ms,
+                        p.psPerMac(dec_dim, dec_dim),
+                        p.parity ? "yes" : "NO");
+        }
+        const DecodePoint &lo = decode_points.front();
+        const DecodePoint &hi = decode_points.back();
+        const double slope = (hi.ms - lo.ms) / static_cast<double>(
+                                                   hi.n - lo.n);
+        decode_fixed_ms = lo.ms - slope * static_cast<double>(lo.n);
+        decode_ratio =
+            lo.psPerMac(dec_dim, dec_dim) / hi.psPerMac(dec_dim, dec_dim);
+        std::printf("  fitted fixed cost %.3f ms/call, ps/MAC ratio "
+                    "n=%zu/n=%zu %.2f\n",
+                    decode_fixed_ms, lo.n, hi.n, decode_ratio);
+        setParallelThreads(pool_threads);
+    }
+
     // --- Static vs measured dispatch policy across densities ---------
     // The stream/gather crossover moves with activation density (dense
     // lists favor streaming, sparse ones gathering); this sweep pins
@@ -371,12 +433,13 @@ main(int argc, char **argv)
 
     // --- Thread scaling of the new kernel ----------------------------
     // A shape large enough that band parallelism dominates pool
-    // overhead (512 gives 128 m-bands); each point resizes the pool
-    // BEFORE the timed region so the kernel re-enters with the
+    // overhead (512 gives 128 m-bands), in quick mode too: at 256 the
+    // ladder measures pool overhead, not scaling. Each point resizes
+    // the pool BEFORE the timed region so the kernel re-enters with the
     // requested width, and records the width the pool actually ran
     // with (on small machines the curve is legitimately flat - the
     // hardware concurrency is in the JSON for that).
-    const std::size_t dim = opt.quick ? 256 : 512;
+    const std::size_t dim = 512;
     Rng rng(7);
     const std::int32_t zp = 136;
     MatrixI32 w = weightCodes(rng, dim, dim, 0.6);
@@ -477,6 +540,8 @@ main(int argc, char **argv)
         all_parity = all_parity && c.parity;
     for (const DensityPoint &p : density_points)
         all_parity = all_parity && p.parity;
+    for (const DecodePoint &p : decode_points)
+        all_parity = all_parity && p.parity;
 
     if (opt.writeJson) {
         std::ofstream out(opt.jsonPath);
@@ -542,11 +607,25 @@ main(int argc, char **argv)
                 << "}" << (i + 1 < density_points.size() ? "," : "")
                 << "\n";
         }
+        out << "  ],\n  \"decode_shapes\": {\"m\": " << dec_dim
+            << ", \"k\": " << dec_dim << ", \"threads\": 1"
+            << ", \"fixed_ms\": " << decode_fixed_ms
+            << ", \"ps_per_mac_ratio\": " << decode_ratio
+            << ", \"points\": [\n";
+        for (std::size_t i = 0; i < decode_points.size(); ++i) {
+            const DecodePoint &p = decode_points[i];
+            out << "    {\"n\": " << p.n << ", \"ms\": " << p.ms
+                << ", \"ps_per_mac\": " << p.psPerMac(dec_dim, dec_dim)
+                << ", \"parity\": " << (p.parity ? "true" : "false")
+                << "}" << (i + 1 < decode_points.size() ? "," : "")
+                << "\n";
+        }
+        out << "  ]},\n";
         // thread_scaling_measured: false when the host cannot run the
         // ladder's threads concurrently (1 hardware core, or every
         // point clamped to pool width 1) - consumers must label or
         // skip the flat curve rather than plot it as real scaling.
-        out << "  ],\n  \"thread_scaling_measured\": "
+        out << "  \"thread_scaling_measured\": "
             << (scaling_measured ? "true" : "false") << ",\n";
         out << "  \"thread_scaling\": [\n";
         for (std::size_t i = 0; i < scaling.size(); ++i) {

@@ -7,7 +7,7 @@
  * same outputs, same AqsStats, at every ISA level - and loading does
  * zero calibration/slicing/RLE/HO work.
  *
- * The format (v2) lays every bulk payload out in
+ * The format (v3) lays every bulk payload out in
  * 64-byte-aligned sections so loadCompiledModel() can map the file
  * read-only and serve the weights in place: cold-start cost becomes
  * page mapping plus header validation, and processes loading the same
@@ -59,7 +59,7 @@ saveCompiledModel(const CompiledModel &model, const std::string &path)
  * weights served in place (CompiledModel::mappedBytes() > 0); the
  * copying decode covers mmap-less platforms and PANACEA_MMAP=0 (which
  * wins over the caller). Both paths produce bit-identical models. A
- * file of any other format version (e.g. the retired v1) throws.
+ * file of any other format version (e.g. the retired v1 or v2) throws.
  */
 inline CompiledModel
 loadCompiledModel(const std::string &path, bool allow_mmap = true)

@@ -127,13 +127,9 @@ executeTiled(const WeightOperand &w, const ActivationOperand &x,
     std::vector<std::int64_t> b_prime(m, 0);
     if (r_skip) {
         const int x_ho_shift = x.sliced.hoPlane().shift;
-        for (std::size_t row = 0; row < m; ++row) {
-            std::int64_t sum = 0;
-            for (std::size_t k = 0; k < kk; ++k)
-                sum += w.totalCodes(row, k);
-            b_prime[row] = sum * (static_cast<std::int64_t>(x.r)
-                                  << x_ho_shift);
-        }
+        for (std::size_t row = 0; row < m; ++row)
+            b_prime[row] = w.rowSums[row] * (static_cast<std::int64_t>(x.r)
+                                             << x_ho_shift);
     }
 
     // Tile traversal of Fig. 12: m-supers (DTP pairs), n-tiles, bands.

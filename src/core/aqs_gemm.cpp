@@ -74,8 +74,8 @@ prepareWeights(const MatrixI32 &codes, int n, const AqsConfig &cfg)
 {
     WeightOperand op;
     op.sliced = sbrSliceMatrix(codes, n);
-    op.totalCodes = op.sliced.reconstruct();
-    panic_if(!(op.totalCodes == codes), "SBR slicing is not lossless");
+    panic_if(!(op.sliced.reconstruct() == codes),
+             "SBR slicing is not lossless");
 
     const Matrix<Slice> &ho = op.sliced.hoPlane().data;
     if (cfg.skipWeightVectors) {
@@ -84,6 +84,27 @@ prepareWeights(const MatrixI32 &codes, int n, const AqsConfig &cfg)
         op.hoMask = MatrixU8(codes.rows() / cfg.v, codes.cols(), 0);
     }
     op.streams = encodeWeightPlane(ho, cfg.v, cfg.rleIndexBits);
+
+    // Weight-side kernel operands, built once here instead of per GEMM
+    // call: the panel, b' row sums and per-band dense-step counts.
+    // Parallel over disjoint rows/bands, byte-identical for any thread
+    // count.
+    op.panel = detail::buildWeightPanel(op.sliced, op.hoMask, cfg.v);
+    std::vector<std::int64_t> row_sums(codes.rows(), 0);
+    parallelFor(0, codes.rows(), [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t row = b; row < e; ++row)
+            for (std::int32_t c : codes.row(row))
+                row_sums[row] += c;
+    });
+    op.rowSums = std::move(row_sums);
+    std::vector<std::uint32_t> dense(op.hoMask.rows(), 0);
+    parallelFor(0, op.hoMask.rows(), [&](std::size_t b, std::size_t e,
+                                         int) {
+        for (std::size_t mg = b; mg < e; ++mg)
+            for (std::uint8_t c : op.hoMask.row(mg))
+                dense[mg] += c == 0 ? 1 : 0;
+    });
+    op.bandDenseSteps = std::move(dense);
     return op;
 }
 
@@ -205,15 +226,46 @@ buildActSkipLists(const ActivationOperand &x, const AqsConfig &cfg)
 }
 
 /**
+ * Sum the total weight codes of the band's v rows over a step list:
+ * out[i] = sum_t sum_l panel_l(ks[t], i) << shift_l. The panel holds
+ * every level's slices, so the total codes need no storage of their
+ * own; per-level int32 sums are exact (|slice| < 2^4, K < 2^22).
+ */
+template <int TV>
+void
+sumBandCodes(const std::int16_t *band, std::size_t plane_stride,
+             const SlicedMatrix &sliced, int v, const std::uint32_t *ks,
+             std::size_t count, std::array<std::int64_t, TV> &out)
+{
+    const std::size_t uv = static_cast<std::size_t>(v);
+    const std::size_t stride = detail::panelRowStride(uv);
+    out.fill(0);
+    for (std::size_t l = 0; l < sliced.levels(); ++l) {
+        const std::int16_t *pl = band + l * plane_stride;
+        std::array<std::int32_t, TV> s{};
+        for (std::size_t t = 0; t < count; ++t) {
+            const std::int16_t *w = pl + detail::panelOffset(ks[t], 0, uv);
+            for (std::size_t i = 0; i < uv; ++i)
+                s[i] += w[i * stride];
+        }
+        for (int i = 0; i < v; ++i)
+            out[static_cast<std::size_t>(i)] +=
+                static_cast<std::int64_t>(s[static_cast<std::size_t>(i)])
+                << sliced.planes[l].shift;
+    }
+}
+
+/**
  * The register-blocked kernel body for one contiguous band of m-groups
  * [mg0, mg1). Instantiated with VT = 4 for the paper-default vector
  * length (fixed-size micro-tile, fully unrollable) and VT = 0 for a
  * runtime v (v <= 16).
  *
- * Structure per m-group:
- *   - pack the v weight rows of every slice plane into a contiguous
- *     [k][i] tile (one strided pass, reused across every n-group);
- *   - build the weight-side skip list (dense k's) from the HO mask.
+ * Weights are read, never rebuilt: every pass reads the band's slice
+ * planes from the prepared panel (WeightOperand::panel), the Eq. (6)
+ * row sums and dense-step counts are precomputed, and the weight-side
+ * skip list (dense k's) is materialized from the HO mask only when a
+ * gather pass will read it.
  * Per (mg, ng) tile:
  *   - run one branch-free pair pass (through the ISA-dispatched kernel
  *     table `kern`; see core/pair_pass.h) per (weight-plane,
@@ -264,69 +316,56 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
     }
 
     // Streaming fast path (SSE2+ generic-v, AVX2+ for v = 4): dense
-    // masked passes over the pre-interleaved operands replace skip-list
-    // gathers whenever the stream decision `sd` (resolved once per
-    // GEMM call from the active policy + this host's calibrated costs;
-    // see core/kernel_cost_model.h) predicts the stream cheaper. Stats
-    // always come from the list lengths, so the choice never changes
-    // results or counters.
+    // masked passes over the panel and the pre-interleaved activation
+    // operand replace skip-list gathers whenever the stream decision
+    // `sd` (resolved once per GEMM call from the active policy + this
+    // host's calibrated costs; see core/kernel_cost_model.h) predicts
+    // the stream cheaper. Stats always come from the list lengths, so
+    // the choice never changes results or counters.
     const bool stream_ok =
         xq != nullptr && detail::streamKernelsRunnable(kern, v);
     const std::size_t kkp = detail::pairCount(kk);
-    const std::size_t pw = 2 * uv;
+    const std::size_t plane_stride = detail::panelSteps(kk) * uv;
+    const std::size_t band_stride = w_levels * plane_stride;
 
     // Per-band scratch, allocated once and reused for every m-group.
-    std::vector<std::int16_t> wpack(w_levels * kk * uv);
-    std::vector<std::int16_t> wq, wqm;
-    std::vector<std::int32_t> ttpack(r_skip ? kk * uv : 0);
-    std::vector<std::uint32_t> wd, wxd;
-    wd.reserve(kk);
-    wxd.reserve(kk);
+    // The skip lists are filled branch-free (store every k, advance the
+    // cursor only past dense ones): the masks are data-dependent, so a
+    // conditional push mispredicts on every other step.
+    std::vector<std::uint32_t> wd(kk), wxd(kk);
     std::array<std::int32_t, TV * TV> pacc;
     std::array<std::int64_t, TV * TV> tile;
     std::array<std::int64_t, TV> wsum, bprow, ttfull;
 
     for (std::size_t mg = mg0; mg < mg1; ++mg) {
         const std::uint8_t *wmask = w.hoMask.row(mg).data();
+        const std::int16_t *band = w.panel.data() + mg * band_stride;
 
         // Weight-side skip list: dense reduction steps for this band.
-        wd.clear();
-        for (std::size_t k = 0; k < kk; ++k)
-            if (wmask[k] == 0)
-                wd.push_back(static_cast<std::uint32_t>(k));
-        const bool wd_full = wd.size() == kk;
-
-        // Pack the band's weight rows, widened: wpack[(wl*kk + k)*v + i].
-        for (std::size_t wl = 0; wl < w_levels; ++wl) {
-            const Slice *base = w.sliced.planes[wl].data.data().data();
-            std::int16_t *dst = wpack.data() + wl * kk * uv;
-            for (int i = 0; i < v; ++i) {
-                const Slice *src =
-                    base + (mg * uv + static_cast<std::size_t>(i)) * kk;
-                for (std::size_t k = 0; k < kk; ++k)
-                    dst[k * uv + static_cast<std::size_t>(i)] = src[k];
+        // Its length is precomputed; the list itself is built only when
+        // a gather pass will read it. Every HO_w pass's list is at most
+        // wdn long and profitable() is monotone nondecreasing in the
+        // list length under every policy (core/kernel_cost_model.h), so
+        // a stream at wdn means no HO_w pass of this band gathers over
+        // wd.
+        const std::size_t wdn = w.bandDenseSteps[mg];
+        const bool wd_full = wdn == kk;
+        const bool wd_gather =
+            !wd_full && !(stream_ok && sd.profitable(wdn, kk));
+        if (wd_gather) {
+            std::size_t cnt = 0;
+            for (std::size_t k = 0; k < kk; ++k) {
+                wd[cnt] = static_cast<std::uint32_t>(k);
+                cnt += wmask[k] == 0 ? 1 : 0;
             }
         }
 
-        // Paired-stream weight operands (unmasked + masked HO when a
-        // streamed HO_w pass could read it; see operand_pack.h).
-        if (stream_ok)
-            detail::packStreamWeightOperands(w.sliced, mg, v, wmask,
-                                             wd.size(), sd, wq, wqm);
-
         if (r_skip) {
             // Offline term b' = r * 2^shift * row sums of the total
-            // weight codes (Eq. (6)), plus the packed total codes the
-            // CS reuses for the wsum accumulation.
+            // weight codes (Eq. (6)).
             for (int i = 0; i < v; ++i) {
-                const std::int32_t *src =
-                    w.totalCodes.row(mg * uv + static_cast<std::size_t>(i))
-                        .data();
-                std::int64_t sum = 0;
-                for (std::size_t k = 0; k < kk; ++k) {
-                    sum += src[k];
-                    ttpack[k * uv + static_cast<std::size_t>(i)] = src[k];
-                }
+                const std::int64_t sum =
+                    w.rowSums[mg * uv + static_cast<std::size_t>(i)];
                 ttfull[static_cast<std::size_t>(i)] = sum;
                 bprow[static_cast<std::size_t>(i)] = sum * r_scaled;
             }
@@ -353,8 +392,9 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
                     nboth = kk;
                 }
             } else if (xd.identity || xd_full) {
-                both = wd.data();
-                nboth = wd.size();
+                // Streams exactly when wd was not built (see above).
+                both = wd_gather ? wd.data() : nullptr;
+                nboth = wdn;
             } else {
                 if (stream_ok) {
                     // Count first; materialize the list only when the
@@ -367,14 +407,13 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
                 if (stream_ok && sd.profitable(nboth, kk)) {
                     both = nullptr; // stream pass; ks is never read
                 } else {
-                    wxd.clear();
+                    nboth = 0;
                     for (std::size_t t = 0; t < nxd; ++t) {
                         const std::uint32_t k = xlist[t];
-                        if (wmask[k] == 0)
-                            wxd.push_back(k);
+                        wxd[nboth] = k;
+                        nboth += wmask[k] == 0 ? 1 : 0;
                     }
                     both = wxd.data();
-                    nboth = wxd.size();
                 }
             }
 
@@ -382,7 +421,7 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
             std::uint64_t executed = 0;
 
             for (std::size_t wl = 0; wl < w_levels; ++wl) {
-                const std::int16_t *wp = wpack.data() + wl * kk * uv;
+                const std::int16_t *wp = band + wl * plane_stride;
                 const int w_shift = w.sliced.planes[wl].shift;
                 const bool w_is_ho = wl == w_ho;
                 for (std::size_t xl = 0; xl < x_levels; ++xl) {
@@ -396,7 +435,7 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
                         identity = both == nullptr;
                     } else if (w_is_ho) {
                         ks = wd_full ? nullptr : wd.data();
-                        nk = wd_full ? kk : wd.size();
+                        nk = wdn;
                         identity = wd_full;
                     } else if (x_is_ho) {
                         ks = (xd.identity || xd_full) ? nullptr : xlist;
@@ -409,16 +448,12 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
                     }
 
                     if (stream_ok && sd.profitable(nk, kk)) {
-                        const std::int16_t *wqp =
-                            (w_is_ho && !wd_full)
-                                ? wqm.data()
-                                : wq.data() + wl * kkp * pw;
                         const std::int16_t *xqp =
-                            xq + (xl * n_groups + ng) * kkp * pw;
+                            xq + (xl * n_groups + ng) * kkp * 2 * uv;
                         if constexpr (VT == 4)
-                            kern.stream4(wqp, xqp, kkp, pacc.data());
+                            kern.stream4(wp, xqp, kkp, pacc.data());
                         else
-                            kern.streamGeneric(wqp, xqp, kkp, v,
+                            kern.streamGeneric(wp, xqp, kkp, v,
                                                pacc.data());
                     } else if constexpr (VT == 4) {
                         kern.pass4(wp, xbase[xl], n, ng_off, ks, nk,
@@ -451,27 +486,15 @@ blockedBand(const WeightOperand &w, const ActivationOperand &x,
                 if (xd.identity || xd_full) {
                     wsum = ttfull;
                 } else if (2 * nxd >= kk) {
-                    wsum.fill(0);
-                    const std::uint32_t *cl = xd.clist(ng);
-                    const std::size_t nc = xd.ccount(ng);
-                    for (std::size_t t = 0; t < nc; ++t) {
-                        const std::int32_t *tt =
-                            ttpack.data() + cl[t] * uv;
-                        for (int i = 0; i < v; ++i)
-                            wsum[static_cast<std::size_t>(i)] += tt[i];
-                    }
+                    sumBandCodes<TV>(band, plane_stride, w.sliced, v,
+                                     xd.clist(ng), xd.ccount(ng), wsum);
                     for (int i = 0; i < v; ++i)
                         wsum[static_cast<std::size_t>(i)] =
                             ttfull[static_cast<std::size_t>(i)] -
                             wsum[static_cast<std::size_t>(i)];
                 } else {
-                    wsum.fill(0);
-                    for (std::size_t t = 0; t < nxd; ++t) {
-                        const std::int32_t *tt =
-                            ttpack.data() + xlist[t] * uv;
-                        for (int i = 0; i < v; ++i)
-                            wsum[static_cast<std::size_t>(i)] += tt[i];
-                    }
+                    sumBandCodes<TV>(band, plane_stride, w.sliced, v,
+                                     xlist, nxd, wsum);
                 }
                 if (cfg.useEq6) {
                     local.compAdds += static_cast<std::uint64_t>(nxd) *
@@ -556,6 +579,15 @@ aqsGemm(const WeightOperand &w, const ActivationOperand &x,
     const std::size_t w_levels = w.sliced.levels();
     const std::size_t x_levels = x.sliced.levels();
 
+    // The band count pins the panel to this v (its element count alone
+    // is v-independent).
+    panic_if(w.bandDenseSteps.size() != m_groups ||
+                 w.rowSums.size() != m ||
+                 w.panel.size() !=
+                     m_groups * detail::panelBandSize(kk, w_levels, v),
+             "AQS-GEMM weight operand carries no kernel panel for v=", v,
+             " (prepare it with prepareWeights)");
+
     // Activation-side skip lists, shared read-only by every band.
     const detail::SkipLists xd = buildActSkipLists(x, cfg);
 
@@ -630,6 +662,11 @@ aqsGemm(const WeightOperand &w, const ActivationOperand &x,
                            part);
     });
 
+    // Serving passes no stats record (it attributes per-request stats
+    // separately via aqsCountStatsBatch), so the fold and the traffic
+    // count run only when someone reads them.
+    if (!stats)
+        return acc;
     AqsStats local;
     for (const AqsStats &part : partial) {
         local.executedOuterProducts += part.executedOuterProducts;
@@ -651,8 +688,7 @@ aqsGemm(const WeightOperand &w, const ActivationOperand &x,
     countTraffic(local, w, x, m, kk, w_levels, x_levels, v, 0,
                  n / static_cast<std::size_t>(v));
 
-    if (stats)
-        *stats += local;
+    *stats += local;
     return acc;
 }
 
@@ -682,6 +718,11 @@ aqsGemmReference(const WeightOperand &w, const ActivationOperand &x,
 
     MatrixI64 acc(m, n);
 
+    // The reference reconstructs the total codes from the planes
+    // itself rather than trusting the blocked kernel's precomputed
+    // panel and row sums.
+    const MatrixI32 total_codes = w.sliced.reconstruct();
+
     // Offline term b' = r * 2^shift * (row sums of the total weight
     // codes): folded into the bias, zero runtime cost (Eq. (6)).
     std::vector<std::int64_t> b_prime;
@@ -690,7 +731,7 @@ aqsGemmReference(const WeightOperand &w, const ActivationOperand &x,
         for (std::size_t row = 0; row < m; ++row) {
             std::int64_t sum = 0;
             for (std::size_t k = 0; k < kk; ++k)
-                sum += w.totalCodes(row, k);
+                sum += total_codes(row, k);
             b_prime[row] = sum * (static_cast<std::int64_t>(x.r)
                                   << x_ho_shift);
         }
@@ -712,7 +753,7 @@ aqsGemmReference(const WeightOperand &w, const ActivationOperand &x,
                         // slices loaded for the bit-slice products.
                         for (int i = 0; i < v; ++i)
                             wsum[static_cast<std::size_t>(i)] +=
-                                w.totalCodes(
+                                total_codes(
                                     mg * static_cast<std::size_t>(v) +
                                         static_cast<std::size_t>(i),
                                     k);

@@ -37,6 +37,7 @@
 
 #include "slicing/rle.h"
 #include "slicing/slice_tensor.h"
+#include "util/arena.h"
 #include "util/matrix.h"
 
 namespace panacea {
@@ -62,13 +63,31 @@ struct AqsConfig
     bool skipWeightVectors = true; ///< compress all-zero weight HO vectors
 };
 
-/** Prepared (sliced + compressed) weight operand. */
+/**
+ * Prepared (sliced + compressed) weight operand. Besides the sliced
+ * planes and their compression structures it carries the kernel's
+ * weight-side operands, built once by prepareWeights() (the CPU
+ * analogue of slicing and compressing weights offline into WMEM,
+ * §III-B) and persisted as .pncm sections, so aqsGemm() only reads
+ * weights: it never packs, widens, masks or sums them per call.
+ */
 struct WeightOperand
 {
     SlicedMatrix sliced;            ///< SBR planes, low to high
-    MatrixI32 totalCodes;           ///< reconstructed codes (for CS reuse)
     MatrixU8 hoMask;                ///< (M/v) x K, 1 = compressed vector
     std::vector<RleStream> streams; ///< HO plane RLE, one per row band
+    /**
+     * Weight-stationary kernel panel: per m-band and slice level the
+     * band's v rows widened to int16, [band][level][k][i], compressed
+     * HO steps stored as zeros (layout: detail::buildWeightPanel in
+     * core/operand_pack.h). Owning on the build path, a view into the
+     * file image on the zero-copy load path.
+     */
+    ArenaVec<std::int16_t> panel;
+    /** Per row: sum over k of the total weight code (b' of Eq. (6)). */
+    ArenaVec<std::int64_t> rowSums;
+    /** Per m-band: reduction steps whose HO vector is not compressed. */
+    ArenaVec<std::uint32_t> bandDenseSteps;
 };
 
 /** Prepared (sliced + compressed) activation operand. */
@@ -152,7 +171,8 @@ struct AqsStats
 
 /**
  * Prepare a weight operand: SBR-slice the codes, build the HO
- * compression mask and RLE streams.
+ * compression mask and RLE streams, and the kernel panel, row sums and
+ * per-band dense-step counts aqsGemm() reads.
  *
  * @param codes symmetric weight codes, (3n+4)-bit
  * @param n     number of LO slices

@@ -140,7 +140,8 @@ checksumOf(const KernelCostTable &t)
 /**
  * Deterministic synthetic operands for one kernel family: a kk-step
  * band with an every-other-step skip list for the gather kernels and
- * pre-interleaved paired planes for the stream kernels. Values are
+ * a panel-shaped weight plane plus a pre-interleaved activation plane
+ * for the stream kernels. Values are
  * seeded (identical on every host) and irrelevant to the integer
  * kernels' timing; only the shapes matter.
  */

@@ -29,9 +29,9 @@
  *   - "stream" / "gather": force one mechanism wherever runnable
  *     (tests; also the two ends of the bench density sweep).
  * Every policy's profitable() is monotone nondecreasing in nk, which
- * the masked-HO-operand precondition in packStreamWeightOperands()
- * relies on (a pass list is never longer than the band's full dense
- * list, so "not profitable at wd_size" proves the copy dead).
+ * the blocked kernel's lazy weight skip list relies on (a pass list is
+ * never longer than the band's full dense list, so "profitable at the
+ * band's dense-step count" proves no HO_w pass gathers over the list).
  */
 
 #ifndef PANACEA_CORE_KERNEL_COST_MODEL_H

@@ -1,10 +1,11 @@
 /**
  * @file
  * Internal operand-preparation helpers of the blocked AQS-GEMM
- * kernel: per-n-group skip lists derived
- * from an HO compression mask, and int16 widening of slice planes into
- * the contiguous [level][k][n] layout the pair-pass micro-kernels read
- * (see core/pair_pass.h).
+ * kernel: per-n-group skip lists derived from an HO compression mask,
+ * int16 widening of activation slice planes into the contiguous
+ * [level][k][n] layout the pair-pass micro-kernels read, their
+ * step-paired stream copies, and the weight-stationary panel every
+ * weight-side pass reads (see core/pair_pass.h).
  */
 
 #ifndef PANACEA_CORE_OPERAND_PACK_H
@@ -13,7 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/kernel_cost_model.h"
+#include "core/pair_pass.h"
 #include "slicing/slice_tensor.h"
 #include "util/matrix.h"
 #include "util/parallel_for.h"
@@ -142,85 +143,67 @@ pairedSlicePlanes(const SlicedMatrix &sliced, int v,
     return out;
 }
 
+/** @return reduction steps per weight-panel plane: kk rounded up to
+ *  whole step pairs (an odd trailing step is a zero row). */
+inline std::size_t
+panelSteps(std::size_t kk)
+{
+    return 2 * pairCount(kk);
+}
+
+/** @return int16 elements of one m-band's panel (all slice levels). */
+inline std::size_t
+panelBandSize(std::size_t kk, std::size_t levels, int v)
+{
+    return levels * panelSteps(kk) * static_cast<std::size_t>(v);
+}
+
 /**
- * Pack one m-band's v rows of every slice plane into the paired-stream
- * layout: wq[(l * kkp + k2) * 2v + 2i + s] = plane_l(mg*v + i, 2*k2+s).
- * Reuses the vector's storage across bands (assign, not reallocate).
+ * The weight-stationary kernel panel of a sliced weight matrix: for
+ * every m-band and slice level, the band's v rows widened to int16 in
+ * the layout the pair-pass kernels read (panelOffset in
+ * core/pair_pass.h),
+ *
+ *   panel[(mg * levels + l) * panelSteps(kk) * v + panelOffset(k, i, v)]
+ *     = plane_l(mg*v + i, k)
+ *
+ * with the odd trailing step (if any) zero. Steps whose HO vector is
+ * compressed in `ho_mask` ((M/v) x K, 1 = compressed) are stored as
+ * zeros in the HO plane - the vectors are all-zero by construction
+ * (weightVectorMask), so this only pins the invariant a dense stream
+ * over the HO plane relies on. One layout serves both pass kinds of a
+ * kernel family, so no pass packs weights per call. Parallel over
+ * bands; chunks write disjoint blocks of the pre-sized output, so the
+ * result is byte-identical for any thread count.
  */
-inline void
-packWeightBandPaired(const SlicedMatrix &w, std::size_t mg, int v,
-                     std::vector<std::int16_t> &wq)
+inline std::vector<std::int16_t>
+buildWeightPanel(const SlicedMatrix &w, const MatrixU8 &ho_mask, int v)
 {
     const std::size_t kk = w.cols();
     const std::size_t levels = w.levels();
     const std::size_t uv = static_cast<std::size_t>(v);
-    const std::size_t kkp = pairCount(kk);
-    const std::size_t pw = 2 * uv;
-    wq.assign(levels * kkp * pw, 0);
-    for (std::size_t l = 0; l < levels; ++l) {
-        const Slice *base = w.planes[l].data.data().data();
-        std::int16_t *dst = wq.data() + l * kkp * pw;
-        for (std::size_t i = 0; i < uv; ++i) {
-            const Slice *src = base + (mg * uv + i) * kk;
-            for (std::size_t k = 0; k < kk; ++k)
-                dst[(k >> 1) * pw + 2 * i + (k & 1)] = src[k];
+    const std::size_t m_groups = w.rows() / uv;
+    const std::size_t steps = panelSteps(kk);
+    const std::size_t band = panelBandSize(kk, levels, v);
+    std::vector<std::int16_t> panel(m_groups * band, 0);
+    parallelFor(0, m_groups, [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t mg = b; mg < e; ++mg) {
+            const std::uint8_t *mask = ho_mask.row(mg).data();
+            for (std::size_t l = 0; l < levels; ++l) {
+                const bool is_ho = l + 1 == levels;
+                const Slice *base = w.planes[l].data.data().data();
+                std::int16_t *dst =
+                    panel.data() + mg * band + l * steps * uv;
+                for (std::size_t i = 0; i < uv; ++i) {
+                    const Slice *src = base + (mg * uv + i) * kk;
+                    for (std::size_t k = 0; k < kk; ++k)
+                        if (!is_ho || mask[k] == 0)
+                            dst[panelOffset(k, i, uv)] = src[k];
+                }
+            }
         }
-    }
-}
-
-/**
- * Masked copy of one paired band plane (kkp * 2v int16): steps with
- * mask_row[k] != 0 are zeroed, so a dense stream over the copy sums
- * exactly the dense-step list of this band.
- */
-inline void
-maskBandPlanePaired(const std::int16_t *src,
-                    const std::uint8_t *mask_row, std::size_t kk, int v,
-                    std::vector<std::int16_t> &out)
-{
-    const std::size_t uv = static_cast<std::size_t>(v);
-    const std::size_t kkp = pairCount(kk);
-    const std::size_t pw = 2 * uv;
-    out.assign(kkp * pw, 0);
-    for (std::size_t k = 0; k < kk; ++k) {
-        if (mask_row[k] != 0)
-            continue;
-        const std::size_t base = (k >> 1) * pw + (k & 1);
-        for (std::size_t i = 0; i < uv; ++i)
-            out[base + 2 * i] = src[base + 2 * i];
-    }
-}
-
-/**
- * Pack one band's paired-stream weight operands: the unmasked pack
- * always, and the masked HO copy only when a streamed HO_w pass could
- * actually read it - the band's dense-step list (length wd_size) must
- * be incomplete AND clear the stream decision's profitable()
- * threshold; every HO_w pass's list is at most wd_size long and
- * profitable() is monotone nondecreasing in the list length under
- * every policy (see core/kernel_cost_model.h), so below the threshold
- * the copy is provably dead. Pass ho_mask_row = nullptr when weight
- * skipping is off. The GEMM-call decision routes through here, so the
- * precondition and the per-pass choice can never use different
- * policies.
- */
-inline void
-packStreamWeightOperands(const SlicedMatrix &w, std::size_t mg, int v,
-                         const std::uint8_t *ho_mask_row,
-                         std::size_t wd_size,
-                         const StreamDecision &decision,
-                         std::vector<std::int16_t> &wq,
-                         std::vector<std::int16_t> &wqm)
-{
-    packWeightBandPaired(w, mg, v, wq);
-    const std::size_t kk = w.cols();
-    if (ho_mask_row != nullptr && wd_size != kk &&
-        decision.profitable(wd_size, kk)) {
-        const std::size_t ho_off =
-            (w.levels() - 1) * pairCount(kk) * 2 *
-            static_cast<std::size_t>(v);
-        maskBandPlanePaired(wq.data() + ho_off, ho_mask_row, kk, v, wqm);
-    }
+    });
+    return panel;
 }
 
 /**

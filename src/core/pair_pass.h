@@ -10,9 +10,11 @@
  * Contract shared by every variant (and relied on for cross-ISA
  * parity):
  *
- *  - `wp` is the band's packed weight tile for one slice plane:
- *    wp[k * v + i] is the widened (int16) slice of output row i at
- *    reduction step k, contiguous per step.
+ *  - `wp` is the band's weight panel plane for one slice level
+ *    (WeightOperand::panel, built once at prepare time):
+ *    wp[panelOffset(k, i, v)] is the widened (int16) slice of output
+ *    row i at reduction step k - contiguous per step for v = 4, step-
+ *    paired for any other v.
  *  - `xp` is the widened (int16) activation plane, row-major [k][n];
  *    the pass reads the v elements at xp[k * n + ng_off].
  *  - `ks`/`nk`/`identity` name the dense reduction steps: when
@@ -59,16 +61,23 @@ using PairPassGenericFn = void (*)(const std::int16_t *wp,
                                    std::int32_t *pacc);
 
 /**
- * Streaming v = 4 pair pass over PRE-INTERLEAVED operands. `wq` and
- * `xq` hold `pairs` step pairs contiguously, 8 int16 each:
- * wq[p*8 + 2*i + s] is the weight slice of output row i at reduction
- * step 2p+s, xq[p*8 + 2*j + s] the activation slice of output column j
- * (an odd trailing step is padded with zeros on both operands). The
- * gather kernels' per-step loads and interleaves become one wide
- * contiguous load per operand, which is what makes the AVX2/AVX-512
- * tiers beat SSE2 on dense passes. The engines substitute a
- * masked-dense stream for a skip-list gather when the list is dense
- * (compressed steps are pre-zeroed in wq/xq, so their products vanish
+ * Streaming v = 4 pair pass over a weight panel plane and a
+ * PRE-INTERLEAVED activation operand, both covering `pairs` step pairs
+ * contiguously, 8 int16 per pair:
+ *  - `wq` is the weight panel plane (WeightOperand::panel) in the
+ *    same wp[k*4 + i] layout the gather kernels read, so pair p is
+ *    wq[p*8 .. p*8+8) = rows 0..3 at step 2p, then rows 0..3 at step
+ *    2p+1;
+ *  - xq[p*8 + 2*j + s] is the activation slice of output column j at
+ *    reduction step 2p+s.
+ * An odd trailing step is padded with zeros on both operands. The
+ * kernels build row i's (step 2p, step 2p+1) weight pair in registers
+ * with one in-lane byte shuffle (kPanel4PairSelect), so the gather
+ * kernels' per-step loads and interleaves become one wide contiguous
+ * load per operand, which is what makes the AVX2/AVX-512 tiers beat
+ * SSE2 on dense passes. The engines substitute a masked-dense stream
+ * for a skip-list gather when the list is dense (compressed steps are
+ * zeros in the panel's HO plane and in xq, so their products vanish
  * and the sum is bit-identical to the gathered one). OVERWRITES pacc.
  */
 using PairStream4Fn = void (*)(const std::int16_t *wq,
@@ -76,21 +85,57 @@ using PairStream4Fn = void (*)(const std::int16_t *wq,
                                std::int32_t *pacc);
 
 /**
+ * vpshufb controls for the v = 4 stream kernels: applied to a 128-bit
+ * lane holding one panel step pair (rows 0..3 at step 2p, then at step
+ * 2p+1), entry i broadcasts row i's (step 2p, step 2p+1) int16 pair
+ * into every dword - the madd operand of output row i.
+ */
+inline constexpr std::int32_t kPanel4PairSelect[4] = {
+    0x09080100, 0x0B0A0302, 0x0D0C0504, 0x0F0E0706};
+
+/**
  * Streaming runtime-v (1 <= v <= 16) pair pass over PRE-INTERLEAVED
  * operands: the generic-v counterpart of PairStream4Fn. `wq` and `xq`
  * hold `pairs` step pairs contiguously, 2v int16 each:
  * wq[p*2v + 2*i + s] is the weight slice of output row i at reduction
- * step 2p+s, xq[p*2v + 2*j + s] the activation slice of output column
- * j (an odd trailing step is padded with zeros on both operands; the
- * same layout pairedSlicePlanes / packWeightBandPaired emit for any
- * v). Each pmaddwd lane fuses the two steps of one (i, j) element, so
- * the pass is branch-free and indirection-free like the v = 4 stream.
- * OVERWRITES pacc (v x v row-major int32).
+ * step 2p+s (the generic-v weight panel layout, panelOffset()),
+ * xq[p*2v + 2*j + s] the activation slice of output column j (an odd
+ * trailing step is padded with zeros on both operands; the same layout
+ * pairedSlicePlanes emits for any v). Each pmaddwd lane fuses the two
+ * steps of one (i, j) element, so the pass is branch-free and
+ * indirection-free like the v = 4 stream. OVERWRITES pacc (v x v
+ * row-major int32).
  */
 using PairStreamGenericFn = void (*)(const std::int16_t *wq,
                                      const std::int16_t *xq,
                                      std::size_t pairs, int v,
                                      std::int32_t *pacc);
+
+/**
+ * Offset of (reduction step k, output row i) inside one weight panel
+ * plane - the weight operand layout of both pass kinds of a kernel
+ * family:
+ *  - v = 4: wp[k*4 + i], contiguous per step. The gather kernels load
+ *    a step's four rows with one 64-bit load; the stream kernels build
+ *    each row's step pair in registers (kPanel4PairSelect).
+ *  - any other v: step-paired, wq[(k/2)*2v + 2i + k%2]. The stream
+ *    kernels broadcast a row's step pair with one 32-bit load; the
+ *    gather kernels read a step's rows at stride 2 (one scalar load
+ *    per row either way).
+ * panelRowStride(v) is the distance between rows i and i+1 of a step.
+ */
+inline std::size_t
+panelRowStride(std::size_t v)
+{
+    return v == 4 ? 1 : 2;
+}
+
+inline std::size_t
+panelOffset(std::size_t k, std::size_t i, std::size_t v)
+{
+    return v == 4 ? k * 4 + i
+                  : (k >> 1) * 2 * v + (k & 1) + i * panelRowStride(v);
+}
 
 /** One row of the ISA-dispatch table. */
 struct PairPassKernels

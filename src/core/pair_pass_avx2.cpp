@@ -90,17 +90,24 @@ pairPass4Avx2(const std::int16_t *wp, const std::int16_t *xp,
 }
 
 /**
- * Streaming v = 4 pair pass, 256-bit: operands arrive pre-interleaved
- * (see PairStream4Fn in core/pair_pass.h), so every iteration is two
- * 32-byte loads plus four shuffle/vpmaddwd/add triplets retiring FOUR
- * reduction steps - no per-step address computation, interleaving or
- * lane inserts. Exact int32 arithmetic, bit-identical to the gather
- * kernels over the same dense steps.
+ * Streaming v = 4 pair pass, 256-bit: the weight panel's step pairs sit
+ * one per 128-bit lane and the activation operand arrives
+ * pre-interleaved (see PairStream4Fn in core/pair_pass.h), so every
+ * iteration is two 32-byte loads plus four vpshufb/vpmaddwd/add
+ * triplets retiring FOUR reduction steps - no per-step address
+ * computation, interleaving or lane inserts. The in-lane vpshufb both
+ * picks output row i and builds its (step, step+1) pair. Exact int32
+ * arithmetic, bit-identical to the gather kernels over the same dense
+ * steps.
  */
 void
 pairStream4Avx2(const std::int16_t *wq, const std::int16_t *xq,
                 std::size_t pairs, std::int32_t *pacc)
 {
+    const __m256i sel0 = _mm256_set1_epi32(kPanel4PairSelect[0]);
+    const __m256i sel1 = _mm256_set1_epi32(kPanel4PairSelect[1]);
+    const __m256i sel2 = _mm256_set1_epi32(kPanel4PairSelect[2]);
+    const __m256i sel3 = _mm256_set1_epi32(kPanel4PairSelect[3]);
     __m256i acc0 = _mm256_setzero_si256();
     __m256i acc1 = _mm256_setzero_si256();
     __m256i acc2 = _mm256_setzero_si256();
@@ -112,13 +119,13 @@ pairStream4Avx2(const std::int16_t *wq, const std::int16_t *xq,
         const __m256i wab = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(wq + p * 8));
         acc0 = _mm256_add_epi32(
-            acc0, _mm256_madd_epi16(_mm256_shuffle_epi32(wab, 0x00), vb));
+            acc0, _mm256_madd_epi16(_mm256_shuffle_epi8(wab, sel0), vb));
         acc1 = _mm256_add_epi32(
-            acc1, _mm256_madd_epi16(_mm256_shuffle_epi32(wab, 0x55), vb));
+            acc1, _mm256_madd_epi16(_mm256_shuffle_epi8(wab, sel1), vb));
         acc2 = _mm256_add_epi32(
-            acc2, _mm256_madd_epi16(_mm256_shuffle_epi32(wab, 0xAA), vb));
+            acc2, _mm256_madd_epi16(_mm256_shuffle_epi8(wab, sel2), vb));
         acc3 = _mm256_add_epi32(
-            acc3, _mm256_madd_epi16(_mm256_shuffle_epi32(wab, 0xFF), vb));
+            acc3, _mm256_madd_epi16(_mm256_shuffle_epi8(wab, sel3), vb));
     }
     const auto fold = [](__m256i a) {
         return _mm_add_epi32(_mm256_castsi256_si128(a),
@@ -133,14 +140,14 @@ pairStream4Avx2(const std::int16_t *wq, const std::int16_t *xq,
             reinterpret_cast<const __m128i *>(xq + p * 8));
         const __m128i wab = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(wq + p * 8));
-        r0 = _mm_add_epi32(
-            r0, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x00), vb));
-        r1 = _mm_add_epi32(
-            r1, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x55), vb));
-        r2 = _mm_add_epi32(
-            r2, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xAA), vb));
-        r3 = _mm_add_epi32(
-            r3, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xFF), vb));
+        const auto row = [&](__m256i sel) {
+            return _mm_madd_epi16(
+                _mm_shuffle_epi8(wab, _mm256_castsi256_si128(sel)), vb);
+        };
+        r0 = _mm_add_epi32(r0, row(sel0));
+        r1 = _mm_add_epi32(r1, row(sel1));
+        r2 = _mm_add_epi32(r2, row(sel2));
+        r3 = _mm_add_epi32(r3, row(sel3));
     }
     _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 0), r0);
     _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 4), r1);
@@ -167,10 +174,11 @@ pairPassGenericAvx2(const std::int16_t *wp, const std::int16_t *xp,
     const int j8 = v & ~7; // widest multiple-of-8 prefix of the row
     const int j4 = v & ~3;
     const std::size_t uv = static_cast<std::size_t>(v);
+    const int wstride = static_cast<int>(panelRowStride(uv));
     __m256i x8[2];
     for (std::size_t t = 0; t < nk; ++t) {
         const std::size_t k = identity ? t : ks[t];
-        const std::int16_t *wv = wp + k * uv;
+        const std::int16_t *wv = wp + panelOffset(k, 0, uv);
         const std::int16_t *xr = xp + k * n + ng_off;
         for (int j = 0; j < j8; j += 8)
             x8[j >> 3] = _mm256_cvtepi16_epi32(_mm_loadu_si128(
@@ -180,7 +188,7 @@ pairPassGenericAvx2(const std::int16_t *wp, const std::int16_t *xp,
             x4 = _mm_cvtepi16_epi32(_mm_loadl_epi64(
                 reinterpret_cast<const __m128i *>(xr + j8)));
         for (int i = 0; i < v; ++i) {
-            const std::int32_t wsi = wv[i];
+            const std::int32_t wsi = wv[i * wstride];
             std::int32_t *p = pacc + i * v;
             const __m256i wb = _mm256_set1_epi32(wsi);
             for (int j = 0; j < j8; j += 8) {

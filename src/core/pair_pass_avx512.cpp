@@ -107,16 +107,21 @@ pairPass4Avx512(const std::int16_t *wp, const std::int16_t *xp,
 
 /**
  * Streaming v = 4 pair pass, 512-bit: two 64-byte loads plus four
- * shuffle/vpmaddwd/add triplets retire EIGHT reduction steps per
- * iteration over pre-interleaved operands (see PairStream4Fn). The
- * trailing < 4 pairs fall through 256-bit and 128-bit steps. Exact
- * int32 arithmetic, bit-identical to the gather kernels over the same
- * dense steps.
+ * vpshufb/vpmaddwd/add triplets retire EIGHT reduction steps per
+ * iteration over the weight panel and the pre-interleaved activation
+ * operand (see PairStream4Fn; the in-lane vpshufb builds each row's
+ * step pair). The trailing < 4 pairs fall through 256-bit and 128-bit
+ * steps. Exact int32 arithmetic, bit-identical to the gather kernels
+ * over the same dense steps.
  */
 void
 pairStream4Avx512(const std::int16_t *wq, const std::int16_t *xq,
                   std::size_t pairs, std::int32_t *pacc)
 {
+    const __m512i sel0 = _mm512_set1_epi32(kPanel4PairSelect[0]);
+    const __m512i sel1 = _mm512_set1_epi32(kPanel4PairSelect[1]);
+    const __m512i sel2 = _mm512_set1_epi32(kPanel4PairSelect[2]);
+    const __m512i sel3 = _mm512_set1_epi32(kPanel4PairSelect[3]);
     __m512i acc0 = _mm512_setzero_si512();
     __m512i acc1 = _mm512_setzero_si512();
     __m512i acc2 = _mm512_setzero_si512();
@@ -126,17 +131,13 @@ pairStream4Avx512(const std::int16_t *wq, const std::int16_t *xq,
         const __m512i vb = _mm512_loadu_si512(xq + p * 8);
         const __m512i wab = _mm512_loadu_si512(wq + p * 8);
         acc0 = _mm512_add_epi32(
-            acc0, _mm512_madd_epi16(
-                      _mm512_shuffle_epi32(wab, _MM_PERM_AAAA), vb));
+            acc0, _mm512_madd_epi16(_mm512_shuffle_epi8(wab, sel0), vb));
         acc1 = _mm512_add_epi32(
-            acc1, _mm512_madd_epi16(
-                      _mm512_shuffle_epi32(wab, _MM_PERM_BBBB), vb));
+            acc1, _mm512_madd_epi16(_mm512_shuffle_epi8(wab, sel1), vb));
         acc2 = _mm512_add_epi32(
-            acc2, _mm512_madd_epi16(
-                      _mm512_shuffle_epi32(wab, _MM_PERM_CCCC), vb));
+            acc2, _mm512_madd_epi16(_mm512_shuffle_epi8(wab, sel2), vb));
         acc3 = _mm512_add_epi32(
-            acc3, _mm512_madd_epi16(
-                      _mm512_shuffle_epi32(wab, _MM_PERM_DDDD), vb));
+            acc3, _mm512_madd_epi16(_mm512_shuffle_epi8(wab, sel3), vb));
     }
     const auto fold512 = [](__m512i a) {
         const __m256i s = _mm256_add_epi32(
@@ -153,22 +154,17 @@ pairStream4Avx512(const std::int16_t *wq, const std::int16_t *xq,
             reinterpret_cast<const __m256i *>(xq + p * 8));
         const __m256i wab = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(wq + p * 8));
-        const auto fold256 = [](__m256i a) {
+        const auto row = [&](__m512i sel) {
+            const __m256i a = _mm256_madd_epi16(
+                _mm256_shuffle_epi8(wab, _mm512_castsi512_si256(sel)),
+                vb);
             return _mm_add_epi32(_mm256_castsi256_si128(a),
                                  _mm256_extracti128_si256(a, 1));
         };
-        r0 = _mm_add_epi32(
-            r0, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0x00), vb)));
-        r1 = _mm_add_epi32(
-            r1, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0x55), vb)));
-        r2 = _mm_add_epi32(
-            r2, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0xAA), vb)));
-        r3 = _mm_add_epi32(
-            r3, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0xFF), vb)));
+        r0 = _mm_add_epi32(r0, row(sel0));
+        r1 = _mm_add_epi32(r1, row(sel1));
+        r2 = _mm_add_epi32(r2, row(sel2));
+        r3 = _mm_add_epi32(r3, row(sel3));
         p += 2;
     }
     if (p < pairs) {
@@ -176,14 +172,14 @@ pairStream4Avx512(const std::int16_t *wq, const std::int16_t *xq,
             reinterpret_cast<const __m128i *>(xq + p * 8));
         const __m128i wab = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(wq + p * 8));
-        r0 = _mm_add_epi32(
-            r0, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x00), vb));
-        r1 = _mm_add_epi32(
-            r1, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x55), vb));
-        r2 = _mm_add_epi32(
-            r2, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xAA), vb));
-        r3 = _mm_add_epi32(
-            r3, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xFF), vb));
+        const auto row = [&](__m512i sel) {
+            return _mm_madd_epi16(
+                _mm_shuffle_epi8(wab, _mm512_castsi512_si128(sel)), vb);
+        };
+        r0 = _mm_add_epi32(r0, row(sel0));
+        r1 = _mm_add_epi32(r1, row(sel1));
+        r2 = _mm_add_epi32(r2, row(sel2));
+        r3 = _mm_add_epi32(r3, row(sel3));
     }
     _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 0), r0);
     _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 4), r1);
@@ -209,9 +205,10 @@ pairPassGenericAvx512(const std::int16_t *wp, const std::int16_t *xp,
     const int j8 = v & ~7;
     const int j4 = v & ~3;
     const std::size_t uv = static_cast<std::size_t>(v);
+    const int wstride = static_cast<int>(panelRowStride(uv));
     for (std::size_t t = 0; t < nk; ++t) {
         const std::size_t k = identity ? t : ks[t];
-        const std::int16_t *wv = wp + k * uv;
+        const std::int16_t *wv = wp + panelOffset(k, 0, uv);
         const std::int16_t *xr = xp + k * n + ng_off;
         __m512i x16 = _mm512_setzero_si512();
         if (j16 > 0)
@@ -226,7 +223,7 @@ pairPassGenericAvx512(const std::int16_t *wp, const std::int16_t *xp,
             x4 = _mm_cvtepi16_epi32(_mm_loadl_epi64(
                 reinterpret_cast<const __m128i *>(xr + j8)));
         for (int i = 0; i < v; ++i) {
-            const std::int32_t wsi = wv[i];
+            const std::int32_t wsi = wv[i * wstride];
             std::int32_t *p = pacc + i * v;
             if (j16 > 0) {
                 __m512i acc = _mm512_loadu_si512(p);

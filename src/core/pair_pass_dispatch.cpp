@@ -27,12 +27,14 @@ pairPassGenericScalar(const std::int16_t *wp, const std::int16_t *xp,
 {
     for (int e = 0; e < v * v; ++e)
         pacc[e] = 0;
+    const std::size_t uv = static_cast<std::size_t>(v);
+    const int wstride = static_cast<int>(panelRowStride(uv));
     for (std::size_t t = 0; t < nk; ++t) {
         const std::size_t k = identity ? t : ks[t];
-        const std::int16_t *wv = wp + k * static_cast<std::size_t>(v);
+        const std::int16_t *wv = wp + panelOffset(k, 0, uv);
         const std::int16_t *xr = xp + k * n + ng_off;
         for (int i = 0; i < v; ++i) {
-            const std::int32_t wsi = wv[i];
+            const std::int32_t wsi = wv[i * wstride];
             std::int32_t *p = pacc + i * v;
             for (int j = 0; j < v; ++j)
                 p[j] += wsi * static_cast<std::int32_t>(xr[j]);

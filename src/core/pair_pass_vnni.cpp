@@ -106,8 +106,9 @@ pairPass4Vnni(const std::int16_t *wp, const std::int16_t *xp,
 
 /**
  * Streaming v = 4 pair pass, 512-bit VNNI: two 64-byte loads plus four
- * shuffle/vpdpwssd pairs retire EIGHT reduction steps per iteration
- * over pre-interleaved operands (see PairStream4Fn). The trailing < 4
+ * vpshufb/vpdpwssd pairs retire EIGHT reduction steps per iteration
+ * over the weight panel and the pre-interleaved activation operand
+ * (see PairStream4Fn). The trailing < 4
  * pairs fall through plain AVX-512 256-bit and 128-bit madd+add steps
  * (no AVX512VL vpdpwssd needed; same exact sums). Bit-identical to the
  * gather kernels over the same dense steps.
@@ -116,6 +117,10 @@ void
 pairStream4Vnni(const std::int16_t *wq, const std::int16_t *xq,
                 std::size_t pairs, std::int32_t *pacc)
 {
+    const __m512i sel0 = _mm512_set1_epi32(kPanel4PairSelect[0]);
+    const __m512i sel1 = _mm512_set1_epi32(kPanel4PairSelect[1]);
+    const __m512i sel2 = _mm512_set1_epi32(kPanel4PairSelect[2]);
+    const __m512i sel3 = _mm512_set1_epi32(kPanel4PairSelect[3]);
     __m512i acc0 = _mm512_setzero_si512();
     __m512i acc1 = _mm512_setzero_si512();
     __m512i acc2 = _mm512_setzero_si512();
@@ -124,14 +129,14 @@ pairStream4Vnni(const std::int16_t *wq, const std::int16_t *xq,
     for (; p + 4 <= pairs; p += 4) {
         const __m512i vb = _mm512_loadu_si512(xq + p * 8);
         const __m512i wab = _mm512_loadu_si512(wq + p * 8);
-        acc0 = _mm512_dpwssd_epi32(
-            acc0, _mm512_shuffle_epi32(wab, _MM_PERM_AAAA), vb);
-        acc1 = _mm512_dpwssd_epi32(
-            acc1, _mm512_shuffle_epi32(wab, _MM_PERM_BBBB), vb);
-        acc2 = _mm512_dpwssd_epi32(
-            acc2, _mm512_shuffle_epi32(wab, _MM_PERM_CCCC), vb);
-        acc3 = _mm512_dpwssd_epi32(
-            acc3, _mm512_shuffle_epi32(wab, _MM_PERM_DDDD), vb);
+        acc0 = _mm512_dpwssd_epi32(acc0, _mm512_shuffle_epi8(wab, sel0),
+                                   vb);
+        acc1 = _mm512_dpwssd_epi32(acc1, _mm512_shuffle_epi8(wab, sel1),
+                                   vb);
+        acc2 = _mm512_dpwssd_epi32(acc2, _mm512_shuffle_epi8(wab, sel2),
+                                   vb);
+        acc3 = _mm512_dpwssd_epi32(acc3, _mm512_shuffle_epi8(wab, sel3),
+                                   vb);
     }
     const auto fold512 = [](__m512i a) {
         const __m256i s = _mm256_add_epi32(
@@ -148,22 +153,17 @@ pairStream4Vnni(const std::int16_t *wq, const std::int16_t *xq,
             reinterpret_cast<const __m256i *>(xq + p * 8));
         const __m256i wab = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(wq + p * 8));
-        const auto fold256 = [](__m256i a) {
+        const auto row = [&](__m512i sel) {
+            const __m256i a = _mm256_madd_epi16(
+                _mm256_shuffle_epi8(wab, _mm512_castsi512_si256(sel)),
+                vb);
             return _mm_add_epi32(_mm256_castsi256_si128(a),
                                  _mm256_extracti128_si256(a, 1));
         };
-        r0 = _mm_add_epi32(
-            r0, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0x00), vb)));
-        r1 = _mm_add_epi32(
-            r1, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0x55), vb)));
-        r2 = _mm_add_epi32(
-            r2, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0xAA), vb)));
-        r3 = _mm_add_epi32(
-            r3, fold256(_mm256_madd_epi16(
-                    _mm256_shuffle_epi32(wab, 0xFF), vb)));
+        r0 = _mm_add_epi32(r0, row(sel0));
+        r1 = _mm_add_epi32(r1, row(sel1));
+        r2 = _mm_add_epi32(r2, row(sel2));
+        r3 = _mm_add_epi32(r3, row(sel3));
         p += 2;
     }
     if (p < pairs) {
@@ -171,14 +171,14 @@ pairStream4Vnni(const std::int16_t *wq, const std::int16_t *xq,
             reinterpret_cast<const __m128i *>(xq + p * 8));
         const __m128i wab = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(wq + p * 8));
-        r0 = _mm_add_epi32(
-            r0, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x00), vb));
-        r1 = _mm_add_epi32(
-            r1, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0x55), vb));
-        r2 = _mm_add_epi32(
-            r2, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xAA), vb));
-        r3 = _mm_add_epi32(
-            r3, _mm_madd_epi16(_mm_shuffle_epi32(wab, 0xFF), vb));
+        const auto row = [&](__m512i sel) {
+            return _mm_madd_epi16(
+                _mm_shuffle_epi8(wab, _mm512_castsi512_si128(sel)), vb);
+        };
+        r0 = _mm_add_epi32(r0, row(sel0));
+        r1 = _mm_add_epi32(r1, row(sel1));
+        r2 = _mm_add_epi32(r2, row(sel2));
+        r3 = _mm_add_epi32(r3, row(sel3));
     }
     _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 0), r0);
     _mm_storeu_si128(reinterpret_cast<__m128i *>(pacc + 4), r1);

@@ -2,7 +2,7 @@
  * @file
  * The fleet tier: a ReplicaRouter fronting N InferenceEngine replicas
  * (thread-scoped, each with its own worker threads) that share one
- * immutable ServedModel per deployed model - with .pncm v2 models
+ * immutable ServedModel per deployed model - with .pncm models
  * mmapped read-only, replicas share a single physical copy of the
  * weights, so a replica costs threads, not memory.
  *

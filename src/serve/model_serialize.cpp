@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/operand_pack.h"
 #include "util/arena.h"
 #include "util/fnv.h"
 #include "util/logging.h"
@@ -26,7 +27,7 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'N', 'C', 'M'};
 
-// The v2 format stores RleEntry sections as raw entry structs so the
+// The format stores RleEntry sections as raw entry structs so the
 // loader can view them in place. That is only sound while the on-disk
 // layout {u16 skip, 2 zero bytes, u32 vectorIndex} IS the in-memory
 // layout; these asserts pin it (x86-64, the engine's only target).
@@ -198,7 +199,7 @@ class Reader
     std::size_t pos_ = 0;
 };
 
-// --- Raw little-endian loads/stores (v2 header + directory) ------------
+// --- Raw little-endian loads/stores (header + directory) ---------------
 
 std::uint32_t
 loadU32(const std::byte *p)
@@ -462,9 +463,19 @@ validateLayerShapes(const WeightOperand &op, const AqsPipelineOptions &opts,
             "compiled model weight rows not divisible by v");
     const std::size_t m_groups =
         m / static_cast<std::size_t>(opts.gemm.v);
-    if (op.totalCodes.rows() != m || op.totalCodes.cols() != kk)
+    if (op.panel.size() !=
+        m_groups * detail::panelBandSize(kk, op.sliced.levels(),
+                                         opts.gemm.v))
         throw SerializeError(
-            "compiled model total codes disagree with slice planes");
+            "compiled model kernel panel disagrees with slice planes");
+    if (op.rowSums.size() != m || op.bandDenseSteps.size() != m_groups)
+        throw SerializeError(
+            "compiled model weight sums disagree with layer shape");
+    for (std::uint32_t dense : op.bandDenseSteps)
+        if (dense > kk)
+            throw SerializeError("compiled model band dense-step count " +
+                                 std::to_string(dense) + " exceeds K " +
+                                 std::to_string(kk));
     if (op.hoMask.rows() != m_groups || op.hoMask.cols() != kk)
         throw SerializeError(
             "compiled model weight HO mask has wrong shape");
@@ -521,11 +532,11 @@ readModelHead(Reader &r)
     return head;
 }
 
-// --- v2 (sectioned, zero-copy) encode/decode ---------------------------
+// --- Sectioned, zero-copy encode/decode ------------------------------
 
-constexpr std::size_t kV2HeaderBytes = 32; ///< magic..sectionCount
-constexpr std::size_t kSectionsPerLayer = 6;
-constexpr std::uint64_t kV2ChecksumFrom = 24; ///< sectionCount onward
+constexpr std::size_t kHeaderBytes = 32; ///< magic..sectionCount
+constexpr std::size_t kSectionsPerLayer = 7;
+constexpr std::uint64_t kChecksumFrom = 24; ///< sectionCount onward
 
 std::uint64_t
 alignUp64(std::uint64_t x)
@@ -544,16 +555,17 @@ struct SectionRange
 struct LayerBulkSizes
 {
     std::uint64_t planes = 0;
-    std::uint64_t codes = 0;
+    std::uint64_t panel = 0;
     std::uint64_t mask = 0;
     std::uint64_t entries = 0;
     std::uint64_t payloads = 0;
     std::uint64_t bias = 0;
+    std::uint64_t sums = 0;
     std::uint64_t stored = 0; ///< total entries across streams
 };
 
 void
-writeServedModelV2(std::ostream &out, const ServedModel &model)
+writeSectionedModel(std::ostream &out, const ServedModel &model)
 {
     const std::size_t layer_count = model.layerCount();
     const std::uint64_t section_count =
@@ -567,7 +579,7 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
             static_cast<std::uint64_t>(op.sliced.rows()) *
             op.sliced.cols();
         b.planes = elems * op.sliced.levels() * sizeof(Slice);
-        b.codes = elems * sizeof(std::int32_t);
+        b.panel = op.panel.size() * sizeof(std::int16_t);
         b.mask = static_cast<std::uint64_t>(op.hoMask.rows()) *
                  op.hoMask.cols();
         for (const RleStream &s : op.streams) {
@@ -577,11 +589,13 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
         b.entries = b.stored * sizeof(RleEntry);
         b.bias = model.layer(i).foldedBias().size() *
                  sizeof(std::int64_t);
+        b.sums = op.rowSums.size() * sizeof(std::int64_t) +
+                 op.bandDenseSteps.size() * sizeof(std::uint32_t);
     }
 
     // META: the scalar stream. Bulk payloads are referenced by section
     // index; with canonical ordering, layer i's sections start at
-    // 1 + 6*i.
+    // 1 + 7*i.
     Writer meta;
     meta.str(model.key());
     writeModelSpec(meta, model.spec());
@@ -607,8 +621,7 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
             meta.boolean(p.high);
         }
         meta.u64(base + 0);
-        meta.u64(op.totalCodes.rows());
-        meta.u64(op.totalCodes.cols());
+        meta.u64(op.panel.size());
         meta.u64(base + 1);
         meta.u64(op.hoMask.rows());
         meta.u64(op.hoMask.cols());
@@ -625,13 +638,14 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
         meta.u64(base + 4);
         meta.u64(layer.foldedBias().size());
         meta.u64(base + 5);
+        meta.u64(base + 6);
     }
 
     // Lay the sections out: directory right after the header, every
     // section 64-byte aligned, gaps zero (the whole buffer starts
     // zeroed and only payload bytes are written).
     std::vector<SectionRange> sections(section_count);
-    std::uint64_t cursor = kV2HeaderBytes + section_count * 16;
+    std::uint64_t cursor = kHeaderBytes + section_count * 16;
     const auto place = [&](std::uint64_t idx, std::uint64_t size) {
         cursor = alignUp64(cursor);
         sections[idx] = {cursor, size};
@@ -641,11 +655,12 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
     for (std::size_t i = 0; i < layer_count; ++i) {
         const std::uint64_t base = 1 + kSectionsPerLayer * i;
         place(base + 0, bulk[i].planes);
-        place(base + 1, bulk[i].codes);
+        place(base + 1, bulk[i].panel);
         place(base + 2, bulk[i].mask);
         place(base + 3, bulk[i].entries);
         place(base + 4, bulk[i].payloads);
         place(base + 5, bulk[i].bias);
+        place(base + 6, bulk[i].sums);
     }
     const std::uint64_t file_size = cursor;
 
@@ -656,9 +671,9 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
     // checksum at offset 16 is patched last
     storeU64(buf.data() + 24, section_count);
     for (std::uint64_t s = 0; s < section_count; ++s) {
-        storeU64(buf.data() + kV2HeaderBytes + 16 * s,
+        storeU64(buf.data() + kHeaderBytes + 16 * s,
                  sections[s].offset);
-        storeU64(buf.data() + kV2HeaderBytes + 16 * s + 8,
+        storeU64(buf.data() + kHeaderBytes + 16 * s + 8,
                  sections[s].size);
     }
     std::memcpy(buf.data() + sections[0].offset, meta.buffer().data(),
@@ -674,8 +689,8 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
             p += plane.data.size() * sizeof(Slice);
         }
         std::memcpy(buf.data() + sections[base + 1].offset,
-                    op.totalCodes.data().data(),
-                    op.totalCodes.size() * sizeof(std::int32_t));
+                    op.panel.data(),
+                    op.panel.size() * sizeof(std::int16_t));
         std::memcpy(buf.data() + sections[base + 2].offset,
                     op.hoMask.data().data(), op.hoMask.size());
 
@@ -698,11 +713,17 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
             model.layer(i).foldedBias();
         std::memcpy(buf.data() + sections[base + 5].offset, bias.data(),
                     bias.size() * sizeof(std::int64_t));
+        p = buf.data() + sections[base + 6].offset;
+        std::memcpy(p, op.rowSums.data(),
+                    op.rowSums.size() * sizeof(std::int64_t));
+        std::memcpy(p + op.rowSums.size() * sizeof(std::int64_t),
+                    op.bandDenseSteps.data(),
+                    op.bandDenseSteps.size() * sizeof(std::uint32_t));
     }
 
     storeU64(buf.data() + 16,
-             fnv1a64Striped(buf.data() + kV2ChecksumFrom,
-                            file_size - kV2ChecksumFrom));
+             fnv1a64Striped(buf.data() + kChecksumFrom,
+                            file_size - kChecksumFrom));
 
     out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     if (!out)
@@ -710,17 +731,17 @@ writeServedModelV2(std::ostream &out, const ServedModel &model)
 }
 
 /**
- * Decode a whole v2 file image IN PLACE: every validation (declared
+ * Decode a whole file image IN PLACE: every validation (declared
  * size, striped checksum, directory bounds/alignment, shapes, RLE
  * chains and padding) runs before a single view is created, and the
  * views the model keeps point into `data` - which `owner` (a
  * MappedFile or an arena-held copy) must keep alive.
  */
 std::shared_ptr<const ServedModel>
-decodeV2(const std::byte *data, std::size_t size,
+decodeSectioned(const std::byte *data, std::size_t size,
          std::shared_ptr<const void> owner, std::size_t mapped_bytes)
 {
-    if (size < kV2HeaderBytes)
+    if (size < kHeaderBytes)
         throw SerializeError("compiled model too small (" +
                              std::to_string(size) + " bytes)");
     const std::uint64_t declared = loadU64(data + 8);
@@ -731,21 +752,21 @@ decodeV2(const std::byte *data, std::size_t size,
             " (truncated or trailing bytes)");
     const std::uint64_t section_count = loadU64(data + 24);
     if (section_count == 0 ||
-        section_count > (size - kV2HeaderBytes) / 16)
+        section_count > (size - kHeaderBytes) / 16)
         throw SerializeError("compiled model section count " +
                              std::to_string(section_count) +
                              " exceeds file");
     if (loadU64(data + 16) !=
-        fnv1a64Striped(data + kV2ChecksumFrom, size - kV2ChecksumFrom))
+        fnv1a64Striped(data + kChecksumFrom, size - kChecksumFrom))
         throw SerializeError("compiled model checksum mismatch");
 
     // Directory: 64-byte aligned, in-bounds, ascending, non-overlapping.
     std::vector<SectionRange> sections(section_count);
-    std::uint64_t prev_end = kV2HeaderBytes + section_count * 16;
+    std::uint64_t prev_end = kHeaderBytes + section_count * 16;
     for (std::uint64_t s = 0; s < section_count; ++s) {
         SectionRange &sec = sections[s];
-        sec.offset = loadU64(data + kV2HeaderBytes + 16 * s);
-        sec.size = loadU64(data + kV2HeaderBytes + 16 * s + 8);
+        sec.offset = loadU64(data + kHeaderBytes + 16 * s);
+        sec.size = loadU64(data + kHeaderBytes + 16 * s + 8);
         if (sec.offset % kArenaAlignment != 0)
             throw SerializeError("compiled model section " +
                                  std::to_string(s) +
@@ -776,7 +797,7 @@ decodeV2(const std::byte *data, std::size_t size,
     if (section_count != 1 + kSectionsPerLayer * head.layerCount)
         throw SerializeError("compiled model section count " +
                              std::to_string(section_count) +
-                             " != 1 + 6 x layer count " +
+                             " != 1 + 7 x layer count " +
                              std::to_string(head.layerCount));
 
     std::vector<AqsLinearLayer> layers;
@@ -820,14 +841,12 @@ decodeV2(const std::byte *data, std::size_t size,
             throw SerializeError(
                 "compiled model slice plane section size mismatch");
 
-        const std::uint64_t codes_rows = r.u64();
-        const std::uint64_t codes_cols = r.u64();
-        const SectionRange &codes_sec = sectionAt(r.u64(), "total codes");
-        if (codes_sec.size !=
-            Reader::checkedMul(Reader::checkedMul(codes_rows, codes_cols),
-                               sizeof(std::int32_t)))
+        const std::uint64_t panel_len = r.u64();
+        const SectionRange &panel_sec = sectionAt(r.u64(), "kernel panel");
+        if (panel_sec.size !=
+            Reader::checkedMul(panel_len, sizeof(std::int16_t)))
             throw SerializeError(
-                "compiled model total codes section size mismatch");
+                "compiled model kernel panel section size mismatch");
 
         const std::uint64_t mask_rows = r.u64();
         const std::uint64_t mask_cols = r.u64();
@@ -892,6 +911,17 @@ decodeV2(const std::byte *data, std::size_t size,
             throw SerializeError(
                 "compiled model folded bias section size mismatch");
 
+        // Weight sums: one i64 row sum per row, then one u32 dense-step
+        // count per m-band (v is validated positive in the options).
+        const std::uint64_t band_count =
+            rows / static_cast<std::size_t>(opts.gemm.v);
+        const SectionRange &sums_sec = sectionAt(r.u64(), "weight sums");
+        if (sums_sec.size !=
+            Reader::checkedMul(rows, sizeof(std::int64_t)) +
+                Reader::checkedMul(band_count, sizeof(std::uint32_t)))
+            throw SerializeError(
+                "compiled model weight sums section size mismatch");
+
         // Validate the RLE entry chains (and the canonical zero
         // padding) BEFORE any views exist: the kernels iterate entries
         // without re-checking, and decode() panics - not throws - on a
@@ -932,10 +962,16 @@ decodeV2(const std::byte *data, std::size_t size,
                 plane_base + p * plane_elems, rows, cols);
             op.sliced.planes.push_back(std::move(plane));
         }
-        op.totalCodes = MatrixI32::fromView(
-            reinterpret_cast<const std::int32_t *>(data +
-                                                   codes_sec.offset),
-            codes_rows, codes_cols);
+        op.panel = ArenaVec<std::int16_t>::view(
+            {reinterpret_cast<const std::int16_t *>(data +
+                                                    panel_sec.offset),
+             panel_len});
+        const auto *row_sums =
+            reinterpret_cast<const std::int64_t *>(data + sums_sec.offset);
+        op.rowSums = ArenaVec<std::int64_t>::view({row_sums, rows});
+        op.bandDenseSteps = ArenaVec<std::uint32_t>::view(
+            {reinterpret_cast<const std::uint32_t *>(row_sums + rows),
+             band_count});
         op.hoMask = MatrixU8::fromView(
             reinterpret_cast<const std::uint8_t *>(data +
                                                    mask_sec.offset),
@@ -1021,7 +1057,7 @@ decodeFileImage(const std::byte *data, std::size_t size,
             "compiled model format version " + std::to_string(version) +
             " unsupported (readable: " +
             std::to_string(kCompiledModelFormatVersion) + ")");
-    return decodeV2(data, size, std::move(owner), mapped_bytes);
+    return decodeSectioned(data, size, std::move(owner), mapped_bytes);
 }
 
 } // namespace
@@ -1029,7 +1065,7 @@ decodeFileImage(const std::byte *data, std::size_t size,
 void
 writeServedModel(std::ostream &out, const ServedModel &model)
 {
-    writeServedModelV2(out, model);
+    writeSectionedModel(out, model);
 }
 
 std::shared_ptr<const ServedModel>

@@ -8,7 +8,7 @@
  * byte-identical to the freshly built original - same outputs, same
  * AqsStats, at every ISA level.
  *
- * One format version (2) is read and written: SECTIONED, ZERO-COPY.
+ * One format version (3) is read and written: SECTIONED, ZERO-COPY.
  * All bulk payloads live in 64-byte-aligned sections addressed by an
  * offset directory, laid out exactly as the kernels consume them, so
  * the loader can mmap the file read-only (util/mapped_file.h) and hand
@@ -22,12 +22,12 @@
  * File layout (all scalar fields little-endian):
  *
  *   offset  0  "PNCM"                magic
- *   offset  4  u32  format version   2
+ *   offset  4  u32  format version   3
  *   offset  8  u64  file size        must equal the real size; rejects
  *                                    truncation/trailing bytes before
  *                                    any payload is touched
  *   offset 16  u64  checksum         fnv1a64Striped over [24, size)
- *   offset 24  u64  section count    1 (META) + 6 per layer
+ *   offset 24  u64  section count    1 (META) + 7 per layer
  *   offset 32  directory             section count x {u64 offset,
  *                                    u64 size}; offsets 64-byte
  *                                    aligned, ascending, gaps zeroed
@@ -36,10 +36,14 @@
  * Section 0 is META: the scalar stream (cache key, ModelSpec,
  * ServeModelOptions, build ms, per-layer scalars/shapes/stream
  * headers) plus, for each bulk payload, the index of the section that
- * holds its bytes. Each layer owns six bulk sections, in canonical
- * order: slice planes, total codes (i32), HO mask (u8), RLE entries
- * ({u16 skip, u16 zero, u32 index} x stored, concatenated across the
- * layer's streams), RLE payloads (Slice), folded bias (i64). Bulk
+ * holds its bytes. Each layer owns seven bulk sections, in canonical
+ * order: slice planes, kernel panel (i16, WeightOperand::panel), HO
+ * mask (u8), RLE entries ({u16 skip, u16 zero, u32 index} x stored,
+ * concatenated across the layer's streams), RLE payloads (Slice),
+ * folded bias (i64), weight sums (i64 row sums x M, then u32 dense-step
+ * counts x M/v). The panel and sums are the kernel's weight-side
+ * operands, so a loaded model views them as-is: the loader checks
+ * their sizes against the layer shape and never rebuilds them. Bulk
  * bytes are raw element bytes, i.e. the host's layout - identical on
  * every x86-64 host, the only architecture the SIMD engine targets.
  *
@@ -49,6 +53,10 @@
  * validated BEFORE any view is handed out, so a truncated or
  * bit-flipped file fails with SerializeError - it can never surface
  * later as a fault inside a kernel reading the mapping.
+ *
+ * Versions 1 (the copying format) and 2 (total codes instead of the
+ * panel) are retired: like any other version they fail the envelope
+ * check, count as a disk-tier miss and are swept as stale.
  *
  * Every reader-side structural violation (bad magic, unsupported
  * version, checksum mismatch, truncation, out-of-range enum, trailing
@@ -81,7 +89,7 @@ class SerializeError : public std::runtime_error
 };
 
 /** Current compiled-model format version (bumped on layout changes). */
-inline constexpr std::uint32_t kCompiledModelFormatVersion = 2;
+inline constexpr std::uint32_t kCompiledModelFormatVersion = 3;
 
 /** @return whether a reader of this build can load format version v. */
 inline constexpr bool

@@ -3,9 +3,9 @@
  * Operand memory backing for the zero-copy load path: a 64-byte-aligned
  * owning arena plus an own-or-view vector.
  *
- * The compiled-model format (serve/model_serialize.h, v2) lays every
- * bulk payload - slice planes, RLE entry/payload streams, HO masks,
- * folded bias - in 64-byte-aligned sections so a loader can hand the
+ * The compiled-model format (serve/model_serialize.h) lays every
+ * bulk payload - slice planes, kernel panels, RLE entry/payload
+ * streams, HO masks, folded bias - in 64-byte-aligned sections so a loader can hand the
  * kernels NON-OWNING views straight into the file image instead of
  * copying into per-structure vectors. The same operand structs
  * (Matrix, RleStream, AqsLinearLayer) must also keep working on the
@@ -44,7 +44,7 @@
 
 namespace panacea {
 
-/** Alignment of every arena allocation and every .pncm v2 section. */
+/** Alignment of every arena allocation and every .pncm section. */
 inline constexpr std::size_t kArenaAlignment = 64;
 
 /**

@@ -65,7 +65,7 @@ fnv1a64(const void *data, std::size_t size,
  * 64 bytes) is folded serially. This is a DIFFERENT function from
  * fnv1a64 - the two are not interchangeable, and the compiled-model
  * format records which one a given file version uses (v1: serial,
- * v2: striped).
+ * v2 and later: striped).
  */
 inline std::uint64_t
 fnv1a64Striped(const void *data, std::size_t size)

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/aqs_gemm.h"
+#include "core/kernel_cost_model.h"
 #include "quant/gemm_quant.h"
 #include "quant/quantizer.h"
 #include "quant/zpm.h"
@@ -216,6 +220,111 @@ TEST(AqsGemm, StatsConservation)
     EXPECT_EQ(stats.mults, stats.executedOuterProducts * 16);
     EXPECT_LE(stats.totalTrafficNibbles(),
               stats.denseNibbles + stats.denseNibbles / 2);
+}
+
+/**
+ * The weight panel written out naively: per band and level, every
+ * (step, row) slice at its documented offset - v = 4 contiguous per
+ * step, any other v step-paired - with compressed HO steps and the odd
+ * trailing step left zero.
+ */
+std::vector<std::int16_t>
+naivePanel(const WeightOperand &w, int v)
+{
+    const std::size_t uv = static_cast<std::size_t>(v);
+    const std::size_t kk = w.sliced.cols();
+    const std::size_t levels = w.sliced.levels();
+    const std::size_t steps = kk + kk % 2;
+    std::vector<std::int16_t> out(w.sliced.rows() * levels * steps, 0);
+    for (std::size_t mg = 0; mg < w.sliced.rows() / uv; ++mg)
+        for (std::size_t l = 0; l < levels; ++l)
+            for (std::size_t k = 0; k < kk; ++k) {
+                if (l + 1 == levels && w.hoMask(mg, k) != 0)
+                    continue;
+                for (std::size_t i = 0; i < uv; ++i) {
+                    const std::size_t at =
+                        v == 4 ? k * 4 + i
+                               : (k / 2) * 2 * uv + 2 * i + k % 2;
+                    out[(mg * levels + l) * steps * uv + at] =
+                        w.sliced.planes[l].data(mg * uv + i, k);
+                }
+            }
+    return out;
+}
+
+TEST(AqsGemm, WeightPanelMatchesNaivePerBandPack)
+{
+    Rng rng(23);
+    for (int n : {1, 2}) {
+        // M divisible by every v; odd K exercises the padded step.
+        MatrixI32 w = randomWeightCodes(rng, 48, 27, n, 0.8);
+        for (int v : {1, 3, 4, 8, 16}) {
+            for (bool skip : {true, false}) {
+                AqsConfig cfg;
+                cfg.v = v;
+                cfg.skipWeightVectors = skip;
+                const WeightOperand w_op = prepareWeights(w, n, cfg);
+                const std::vector<std::int16_t> want = naivePanel(w_op, v);
+                EXPECT_TRUE(std::equal(w_op.panel.begin(), w_op.panel.end(),
+                                       want.begin(), want.end()))
+                    << "n=" << n << " v=" << v << " skip=" << skip;
+
+                std::size_t compressed = 0;
+                ASSERT_EQ(w_op.bandDenseSteps.size(), w_op.hoMask.rows());
+                for (std::size_t mg = 0; mg < w_op.hoMask.rows(); ++mg) {
+                    std::uint32_t dense = 0;
+                    for (std::uint8_t c : w_op.hoMask.row(mg))
+                        dense += c == 0 ? 1 : 0;
+                    EXPECT_EQ(w_op.bandDenseSteps[mg], dense);
+                    compressed += 27 - dense;
+                }
+                // The sweep must cover real compression when skipping.
+                EXPECT_EQ(compressed > 0, skip) << "n=" << n << " v=" << v;
+            }
+        }
+    }
+}
+
+TEST(AqsGemm, RowSumsMatchReconstructedCodes)
+{
+    Rng rng(29);
+    for (int n : {1, 2}) {
+        MatrixI32 w = randomWeightCodes(rng, 24, 31, n, 0.5);
+        const WeightOperand w_op = prepareWeights(w, n, AqsConfig{});
+        const MatrixI32 total = w_op.sliced.reconstruct();
+        ASSERT_EQ(w_op.rowSums.size(), total.rows());
+        for (std::size_t row = 0; row < total.rows(); ++row) {
+            std::int64_t sum = 0;
+            for (std::int32_t c : total.row(row))
+                sum += c;
+            EXPECT_EQ(w_op.rowSums[row], sum) << "n=" << n;
+        }
+    }
+}
+
+TEST(AqsGemm, PanelKernelsExactForEveryVectorLengthAndPolicy)
+{
+    // Odd K: the stream kernels read the panel's zero padding step.
+    Rng rng(31);
+    const std::int32_t zp = 136;
+    MatrixI32 w = randomWeightCodes(rng, 48, 27, 1, 0.8);
+    MatrixI32 x = randomActivationCodes(rng, 27, 48, 8, zp, 0.7);
+    const MatrixI64 want = referenceGemm(w, x);
+    for (int v : {1, 3, 4, 8, 16}) {
+        AqsConfig cfg;
+        cfg.v = v;
+        const WeightOperand w_op = prepareWeights(w, 1, cfg);
+        for (StreamPolicy policy : {StreamPolicy::Stream,
+                                    StreamPolicy::Gather,
+                                    StreamPolicy::Static}) {
+            setStreamPolicy(policy);
+            const ActivationOperand x_op =
+                prepareActivations(x, 1, zp, cfg);
+            EXPECT_TRUE(aqsGemm(w_op, x_op, cfg) == want)
+                << "v=" << v << " policy=" << toString(policy);
+        }
+        resetStreamPolicy();
+    }
 }
 
 /** Parametrized sweep: exactness across the sparsity spectrum. */

@@ -202,8 +202,8 @@ TEST(CostModel, ForcedDecisionsAndStaticRule)
 
 TEST(CostModel, ProfitabilityIsMonotoneInListLength)
 {
-    // The packStreamWeightOperands() precondition proof needs every
-    // policy's profitable() nondecreasing in nk at fixed kk.
+    // The blocked kernel's lazy weight skip list needs every policy's
+    // profitable() nondecreasing in nk at fixed kk.
     detail::StreamDecision d;
     d.policy = StreamPolicy::Measured;
     d.measured = true;

@@ -6,10 +6,10 @@
  *  - round trip: save -> load -> save reproduces IDENTICAL bytes, and
  *    the loaded model produces byte-identical outputs and AqsStats to
  *    the freshly built one at every runnable ISA level;
- *  - rejection: wrong magic, unknown (or retired v1) format version,
- *    checksum mismatch, truncation at any boundary, trailing bytes and
- *    fingerprint mismatches all throw SerializeError - a load never
- *    returns a half-built model;
+ *  - rejection: wrong magic, unknown (or retired v1/v2) format
+ *    version, checksum mismatch, a wrongly sized section, truncation
+ *    at any boundary, trailing bytes and fingerprint mismatches all
+ *    throw SerializeError - a load never returns a half-built model;
  *  - disk tier: a cold PreparedModelCache pointed at a directory a
  *    warm cache populated serves the model with ZERO builds
  *    (CacheStats::misses == 0, diskHits == 1) and bit-equal behaviour.
@@ -33,6 +33,7 @@
 #include "serve/model_serialize.h"
 #include "serve/operand_cache.h"
 #include "util/cpu_features.h"
+#include "util/fnv.h"
 #include "util/random.h"
 
 namespace panacea {
@@ -344,7 +345,7 @@ TEST(ModelSerialize, DiskTierServesColdStartWithZeroBuilds)
     EXPECT_TRUE(runOnce(*rebuilt).output == ref.output);
 }
 
-TEST(ModelSerialize, V2SectionDirectoryIsAlignedAndCoversFile)
+TEST(ModelSerialize, SectionDirectoryIsAlignedAndCoversFile)
 {
     TempDir dir;
     const ModelSpec spec = tinySpec();
@@ -360,12 +361,12 @@ TEST(ModelSerialize, V2SectionDirectoryIsAlignedAndCoversFile)
     EXPECT_EQ(fieldU32(bytes, 4), kCompiledModelFormatVersion);
     EXPECT_EQ(fieldU64(bytes, 8), bytes.size());
 
-    // Directory: 1 META section + 6 bulk sections per layer, offsets
+    // Directory: 1 META section + 7 bulk sections per layer, offsets
     // 64-byte aligned, ascending, non-overlapping, in bounds, and the
     // last section ends exactly at the declared file size (no slack a
     // mapped reader could silently run past).
     const std::uint64_t sections = fieldU64(bytes, 24);
-    EXPECT_EQ(sections, 1u + 6u * model.layerCount());
+    EXPECT_EQ(sections, 1u + 7u * model.layerCount());
     const std::size_t dir_end = 32 + sections * 16;
     ASSERT_LT(dir_end, bytes.size());
     std::uint64_t prev_end = dir_end;
@@ -425,67 +426,104 @@ TEST(ModelSerialize, MappedAndCopyingLoadsAreBitExactAcrossIsa)
     }
 }
 
-TEST(ModelSerialize, RetiredV1FilesAreRejectedSweptAndRebuilt)
+TEST(ModelSerialize, WrongSizedPanelSectionIsRejected)
 {
     TempDir dir;
     const ModelSpec spec = tinySpec();
     CompileOptions opts;
     opts.maxLayers = 1;
-    const CompiledModel fresh = compileModel(spec, opts);
+    const CompiledModel model = compileModel(spec, opts);
+    const std::string path = dir.file("m.pncm");
+    saveCompiledModel(model, path);
+    const std::string good = readFile(path);
 
-    // A hand-made v1 envelope: magic, u32 version 1, then payload
-    // bytes. Only the envelope matters; no v1 decoder exists.
-    std::string v1("PNCM");
-    const std::uint32_t one = 1;
-    v1.append(reinterpret_cast<const char *>(&one), sizeof(one));
-    v1.append(64, '\x5a');
+    // Layer 0's kernel panel is section 2 (after META and the slice
+    // planes). Shrink its directory size by one int16 and re-seal the
+    // checksum, so only the size check can catch it.
+    const std::size_t size_field = 32 + 2 * 16 + 8;
+    std::string bad = good;
+    const std::uint64_t panel_bytes = fieldU64(bad, size_field);
+    ASSERT_GT(panel_bytes, 2u);
+    const std::uint64_t shrunk = panel_bytes - 2;
+    std::memcpy(bad.data() + size_field, &shrunk, sizeof(shrunk));
+    const std::uint64_t sum =
+        fnv1a64Striped(bad.data() + 24, bad.size() - 24);
+    std::memcpy(bad.data() + 16, &sum, sizeof(sum));
+    const std::string bad_path = dir.file("bad.pncm");
+    writeFile(bad_path, bad);
+    EXPECT_THROW(loadCompiledModel(bad_path, true), SerializeError);
+    EXPECT_THROW(loadCompiledModel(bad_path, false), SerializeError);
+    EXPECT_NO_THROW(loadCompiledModel(path));
+}
 
-    // Both load paths fail the envelope check with a typed error.
-    const std::string v1_path = dir.file("v1.pncm");
-    writeFile(v1_path, v1);
-    EXPECT_EQ(peekCompiledModelVersion(v1_path), 1u);
-    EXPECT_THROW(loadCompiledModel(v1_path, true), SerializeError);
-    EXPECT_THROW(loadCompiledModel(v1_path, false), SerializeError);
+TEST(ModelSerialize, RetiredVersionsAreRejectedSweptAndRebuilt)
+{
+    // v1 (the copying format) and v2 (total codes instead of the
+    // kernel panel) are both retired.
+    for (const std::uint32_t retired : {1u, 2u}) {
+        SCOPED_TRACE("retired version " + std::to_string(retired));
+        TempDir dir;
+        const ModelSpec spec = tinySpec();
+        CompileOptions opts;
+        opts.maxLayers = 1;
+        const CompiledModel fresh = compileModel(spec, opts);
 
-    // The sweep counts v1 (and a future version) as stale, a bad
-    // envelope as corrupt, keeps the v2 file and ignores non-.pncm
-    // files.
-    saveCompiledModel(fresh, dir.file("v2.pncm"));
-    std::string future = readFile(dir.file("v2.pncm"));
-    future[4] = static_cast<char>(future[4] + 55);
-    writeFile(dir.file("future.pncm"), future);
-    writeFile(dir.file("garbage.pncm"), "not a compiled model");
-    writeFile(dir.file("notes.txt"), "ignored: wrong extension");
-    const serve::CacheDirReport report =
-        serve::sweepCompiledModelDir(dir.path.string());
-    EXPECT_EQ(report.scanned, 4u);
-    EXPECT_EQ(report.staleVersion, 2u);
-    EXPECT_EQ(report.corrupt, 1u);
-    EXPECT_EQ(report.evicted, 0u);
-    EXPECT_FALSE(std::filesystem::exists(v1_path));
-    EXPECT_FALSE(std::filesystem::exists(dir.file("future.pncm")));
-    EXPECT_FALSE(std::filesystem::exists(dir.file("garbage.pncm")));
-    EXPECT_TRUE(std::filesystem::exists(dir.file("v2.pncm")));
-    EXPECT_TRUE(std::filesystem::exists(dir.file("notes.txt")));
-    EXPECT_NO_THROW(loadCompiledModel(dir.file("v2.pncm")));
+        // A hand-made envelope: magic, the retired u32 version, then
+        // payload bytes. Only the envelope matters; no decoder for a
+        // retired version exists.
+        std::string old("PNCM");
+        old.append(reinterpret_cast<const char *>(&retired),
+                   sizeof(retired));
+        old.append(64, '\x5a');
 
-    // A Runtime whose disk tier holds a v1 file under the model's key
-    // treats it as a miss: it rebuilds, writes a v2 file back, and
-    // serves outputs equal to a fresh build.
-    TempDir cache;
-    const std::string keyed =
-        cache.file(serve::compiledModelFileName(fresh.key()));
-    writeFile(keyed, v1);
-    RuntimeOptions ropts;
-    ropts.cacheDir = cache.path.string();
-    Runtime rt(ropts);
-    const CompiledModel rebuilt = rt.compile(spec, opts);
-    EXPECT_EQ(rt.cacheStats().misses, 1u);
-    EXPECT_EQ(rt.cacheStats().diskHits, 0u);
-    EXPECT_EQ(peekCompiledModelVersion(keyed),
-              kCompiledModelFormatVersion);
-    EXPECT_TRUE(runOnce(*rebuilt.shared()).output ==
-                runOnce(*fresh.shared()).output);
+        // Both load paths fail the envelope check with a typed error.
+        const std::string old_path = dir.file("old.pncm");
+        writeFile(old_path, old);
+        EXPECT_EQ(peekCompiledModelVersion(old_path), retired);
+        EXPECT_THROW(loadCompiledModel(old_path, true), SerializeError);
+        EXPECT_THROW(loadCompiledModel(old_path, false), SerializeError);
+
+        // The sweep counts the retired file (and a future version) as
+        // stale, a bad envelope as corrupt, keeps the current file and
+        // ignores non-.pncm files.
+        saveCompiledModel(fresh, dir.file("current.pncm"));
+        std::string future = readFile(dir.file("current.pncm"));
+        future[4] = static_cast<char>(future[4] + 55);
+        writeFile(dir.file("future.pncm"), future);
+        writeFile(dir.file("garbage.pncm"), "not a compiled model");
+        writeFile(dir.file("notes.txt"), "ignored: wrong extension");
+        const serve::CacheDirReport report =
+            serve::sweepCompiledModelDir(dir.path.string());
+        EXPECT_EQ(report.scanned, 4u);
+        EXPECT_EQ(report.staleVersion, 2u);
+        EXPECT_EQ(report.corrupt, 1u);
+        EXPECT_EQ(report.evicted, 0u);
+        EXPECT_FALSE(std::filesystem::exists(old_path));
+        EXPECT_FALSE(std::filesystem::exists(dir.file("future.pncm")));
+        EXPECT_FALSE(std::filesystem::exists(dir.file("garbage.pncm")));
+        EXPECT_TRUE(std::filesystem::exists(dir.file("current.pncm")));
+        EXPECT_TRUE(std::filesystem::exists(dir.file("notes.txt")));
+        EXPECT_NO_THROW(loadCompiledModel(dir.file("current.pncm")));
+
+        // A Runtime whose disk tier holds the retired file under the
+        // model's key treats it as a miss: it rebuilds, writes a
+        // current-version file back, and serves outputs equal to a
+        // fresh build.
+        TempDir cache;
+        const std::string keyed =
+            cache.file(serve::compiledModelFileName(fresh.key()));
+        writeFile(keyed, old);
+        RuntimeOptions ropts;
+        ropts.cacheDir = cache.path.string();
+        Runtime rt(ropts);
+        const CompiledModel rebuilt = rt.compile(spec, opts);
+        EXPECT_EQ(rt.cacheStats().misses, 1u);
+        EXPECT_EQ(rt.cacheStats().diskHits, 0u);
+        EXPECT_EQ(peekCompiledModelVersion(keyed),
+                  kCompiledModelFormatVersion);
+        EXPECT_TRUE(runOnce(*rebuilt.shared()).output ==
+                    runOnce(*fresh.shared()).output);
+    }
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/aqs_gemm.h"
 #include "pool_guard.h"
 #include "slicing/sbr.h"
@@ -165,7 +167,16 @@ TEST(PrepParallel, FullOperandPreparationMatchesSerialAcrossThreads)
         ActivationOperand x = prepareActivations(x_codes, 1, zp, cfg);
 
         expectSlicedEqual(w.sliced, w_serial.sliced);
-        EXPECT_TRUE(w.totalCodes == w_serial.totalCodes);
+        EXPECT_TRUE(std::equal(w.panel.begin(), w.panel.end(),
+                               w_serial.panel.begin(),
+                               w_serial.panel.end()));
+        EXPECT_TRUE(std::equal(w.rowSums.begin(), w.rowSums.end(),
+                               w_serial.rowSums.begin(),
+                               w_serial.rowSums.end()));
+        EXPECT_TRUE(std::equal(w.bandDenseSteps.begin(),
+                               w.bandDenseSteps.end(),
+                               w_serial.bandDenseSteps.begin(),
+                               w_serial.bandDenseSteps.end()));
         EXPECT_TRUE(w.hoMask == w_serial.hoMask);
         expectStreamsEqual(w.streams, w_serial.streams);
 

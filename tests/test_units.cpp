@@ -85,11 +85,12 @@ TEST(Compensator, MatchesAqsGemmCompensation)
     // Feed the CS exactly what the hardware would: the total weight
     // columns at activation-uncompressed indices.
     Compensator cs(4, 4);
+    const MatrixI32 total_codes = w_op.sliced.reconstruct();
     std::vector<std::int64_t> b_prime(4, 0);
     for (int i = 0; i < 4; ++i) {
         std::int64_t sum = 0;
         for (std::size_t k = 0; k < 24; ++k)
-            sum += w_op.totalCodes(i, k);
+            sum += total_codes(i, k);
         b_prime[i] = sum * (static_cast<std::int64_t>(r) << 4);
     }
     // Absorb each plane's column separately, exactly as the CS's small
@@ -127,7 +128,7 @@ TEST(Compensator, MatchesAqsGemmCompensation)
         std::int64_t expect = 0;
         for (std::size_t k = 0; k < 24; ++k)
             if (x_op.hoMask(k, 0))
-                expect += w_op.totalCodes(i, k) *
+                expect += total_codes(i, k) *
                           (static_cast<std::int64_t>(r) << 4);
         EXPECT_EQ(comp[i], expect) << "row " << i;
     }
